@@ -1,4 +1,4 @@
-.PHONY: build test lint check verify serve-test bench bench-kernel batch-test qos-test lut-test
+.PHONY: build test lint check verify serve-test bench bench-kernel kernel-test batch-test qos-test lut-test
 
 build:
 	go build ./...
@@ -56,11 +56,24 @@ bench:
 	go run ./cmd/experiments -quick -planbench -planbaseline BENCH_PLAN.json -planout BENCH_PLAN.json
 
 # Kernel hot-path microbenchmarks: the forward/inverse negacyclic FFT
-# passes (full and half-complex), the CMux blind-rotation step single vs
-# batched, and the end-to-end single-vs-batched bootstrap sweep.
+# passes (full and half-complex; the half-complex fold, unfold and
+# multiply-accumulate and the key-switch row subtraction each as generic
+# and asm sub-benchmarks), the gadget decomposition, the CMux
+# blind-rotation step single vs batched, and the end-to-end
+# single-vs-batched bootstrap sweep.
 bench-kernel:
 	go test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/torus/ ./internal/tfhe/tgsw/
 	go test -bench 'BenchmarkBatchBootstrap' -benchmem -run '^$$' .
+
+# AVX2/FMA kernels: vet (asmdecl checks every assembly frame against its Go
+# declaration), the asm-vs-generic oracles and key-switch tests under
+# -race, 15 s of FuzzHalfMul, and an arm64 cross-build so the portable
+# fallback keeps compiling.
+kernel-test:
+	go vet ./internal/torus/ ./internal/tfhe/lwe/
+	go test -race ./internal/torus/ ./internal/tfhe/lwe/
+	go test -race -run '^$$' -fuzz FuzzHalfMul -fuzztime 15s ./internal/torus/
+	GOARCH=arm64 go build ./...
 
 # Race-checked equivalence tests for the batched blind-rotation engine:
 # BootstrapBatch/BinaryBatch bit-exactness against the single path, the

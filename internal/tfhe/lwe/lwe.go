@@ -106,11 +106,10 @@ func (s *Sample) AddTo(src *Sample) {
 	s.Variance += src.Variance
 }
 
-// SubFrom computes s -= src.
+// SubFrom computes s -= src. It is the row subtraction of the key switch,
+// so the mask runs on the torus vector kernel.
 func (s *Sample) SubFrom(src *Sample) {
-	for i, a := range src.A {
-		s.A[i] -= a
-	}
+	torus.Sub(s.A, src.A)
 	s.B -= src.B
 	s.Variance += src.Variance
 }

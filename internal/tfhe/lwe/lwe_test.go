@@ -98,6 +98,50 @@ func TestKeySwitch(t *testing.T) {
 	}
 }
 
+// TestKeySwitchMatchesScalar replays SwitchKey.Apply with plain Go word
+// arithmetic over random, wrapping masks (odd output dimension, so the
+// vector kernel's scalar tail runs too) and requires identical masks,
+// bodies and variance.
+func TestKeySwitchMatchesScalar(t *testing.T) {
+	rng := trand.NewSeeded([]byte("lwe-ks-scalar"))
+	inKey := NewKey(96, math.Pow(2, -25), rng)
+	outKey := NewKey(63, math.Pow(2, -18), rng)
+	ks := NewSwitchKey(inKey, outKey, 8, 2, math.Pow(2, -18), rng)
+	for trial := 0; trial < 8; trial++ {
+		in := NewSample(inKey.N)
+		for i := range in.A {
+			in.A[i] = rng.Torus32()
+		}
+		in.B = rng.Torus32()
+		out := NewSample(outKey.N)
+		if err := ks.Apply(out, in); err != nil {
+			t.Fatal(err)
+		}
+
+		want := NewSample(outKey.N)
+		want.B = in.B
+		for i, a := range in.A {
+			ai := a + 1<<(31-16) // round to t·basebit = 16 bits
+			for j := 0; j < ks.Levels; j++ {
+				row := ks.Rows[i][j][(ai>>(30-2*uint(j)))&3]
+				for c, r := range row.A {
+					want.A[c] -= r
+				}
+				want.B -= row.B
+				want.Variance += row.Variance
+			}
+		}
+		for c := range want.A {
+			if out.A[c] != want.A[c] {
+				t.Fatalf("trial %d mask %d: %#x, want %#x", trial, c, out.A[c], want.A[c])
+			}
+		}
+		if out.B != want.B || out.Variance != want.Variance {
+			t.Fatalf("trial %d: body %#x variance %g, want %#x %g", trial, out.B, out.Variance, want.B, want.Variance)
+		}
+	}
+}
+
 func TestKeySwitchDimensionMismatch(t *testing.T) {
 	rng := trand.NewSeeded([]byte("lwe-ks-dim"))
 	inKey := NewKey(64, 0, rng)

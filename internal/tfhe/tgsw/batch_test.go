@@ -156,3 +156,22 @@ func BenchmarkKernelCMuxRotate(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKernelDecomposePoly decomposes one Default128-sized torus
+// polynomial (N = 1024, l = 3, Bgbit = 7): two of these run per CMux.
+func BenchmarkKernelDecomposePoly(b *testing.B) {
+	const n = 1024
+	rng := trand.NewSeeded([]byte("bench-decompose"))
+	src := torus.NewTorusPoly(n)
+	for i := range src.Coefs {
+		src.Coefs[i] = rng.Torus32()
+	}
+	dst := make([]*torus.IntPoly, testParams.Levels)
+	for j := range dst {
+		dst[j] = torus.NewIntPoly(n)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		DecomposePoly(dst, src, testParams)
+	}
+}

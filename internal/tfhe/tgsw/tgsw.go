@@ -94,15 +94,20 @@ func DecomposeTLWE(dst []*torus.IntPoly, src *tlwe.Sample, p Params) {
 
 // DecomposePoly gadget-decomposes one torus polynomial into l balanced
 // digit polynomials: sum_j dst[j]/Bg^(j+1) ≈ src with error below 1/Bg^l.
+//
+// The level loop is outermost and each digit polynomial is re-sliced to
+// the source length, so the inner loop is one bounds-check-free pass per
+// level (l*Bgbit <= 32 keeps every shift in [0, 32)).
 func DecomposePoly(dst []*torus.IntPoly, src *torus.TorusPoly, p Params) {
 	offset := p.Offset()
 	mask := uint32(1)<<p.BaseLog - 1
 	halfBase := int32(1) << (p.BaseLog - 1)
-	for i, c := range src.Coefs {
-		v := c + offset
-		for j := 0; j < p.Levels; j++ {
-			shift := 32 - uint(j+1)*uint(p.BaseLog)
-			dst[j].Coefs[i] = int32((v>>shift)&mask) - halfBase
+	coefs := src.Coefs
+	for j := 0; j < p.Levels; j++ {
+		shift := (32 - uint(j+1)*uint(p.BaseLog)) & 31
+		out := dst[j].Coefs[:len(coefs)]
+		for i, c := range coefs {
+			out[i] = int32(((c+offset)>>shift)&mask) - halfBase
 		}
 	}
 }

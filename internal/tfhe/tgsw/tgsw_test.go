@@ -152,6 +152,54 @@ func TestCMuxRotate(t *testing.T) {
 	}
 }
 
+// TestDecomposePolyDigits checks DecomposePoly coefficient by coefficient
+// against the digit formula digit_j(c) = ((c + offset) >> (32 -
+// (j+1)·Bgbit)) & (Bg-1) - Bg/2, on the edge words and around the point
+// where c + offset carries out of 32 bits, for several gadget geometries
+// (l·Bgbit = 32 included, where the last shift is zero).
+func TestDecomposePolyDigits(t *testing.T) {
+	for _, p := range []Params{{3, 7}, {2, 8}, {4, 8}, {1, 1}, {6, 5}, {2, 16}} {
+		off := p.Offset()
+		inputs := []uint32{
+			0, 1, 0x7fffffff, 0x80000000, 0xffffffff,
+			-off - 1, -off, -off + 1, // c + offset: 2^32-1, 0, 1
+			0x12345678, 0xdeadbeef,
+		}
+		src := torus.NewTorusPoly(len(inputs))
+		copy(src.Coefs, inputs)
+		dst := make([]*torus.IntPoly, p.Levels)
+		for j := range dst {
+			dst[j] = torus.NewIntPoly(len(inputs))
+		}
+		DecomposePoly(dst, src, p)
+		for i, c := range inputs {
+			for j := 0; j < p.Levels; j++ {
+				shift := 32 - uint(j+1)*uint(p.BaseLog)
+				want := int32(((c+off)>>shift)&(uint32(1)<<p.BaseLog-1)) - int32(1)<<(p.BaseLog-1)
+				if got := dst[j].Coefs[i]; got != want {
+					t.Fatalf("l=%d Bgbit=%d c=%#x level %d: digit %d, want %d",
+						p.Levels, p.BaseLog, c, j, got, want)
+				}
+			}
+		}
+	}
+	// Literal digits at l=3, Bgbit=7: 0 decomposes to all zeros, 0xffffffff
+	// (-2^-32) borrows into a -1 at the last level, and 0x80000000 (1/2)
+	// wraps the top digit to -Bg/2.
+	p := Params{Levels: 3, BaseLog: 7}
+	src := &torus.TorusPoly{Coefs: []uint32{0, 0xffffffff, 0x80000000}}
+	dst := []*torus.IntPoly{torus.NewIntPoly(3), torus.NewIntPoly(3), torus.NewIntPoly(3)}
+	DecomposePoly(dst, src, p)
+	want := [3][3]int32{{0, 0, -64}, {0, 0, 0}, {0, -1, 0}}
+	for j := range want {
+		for i := range want[j] {
+			if dst[j].Coefs[i] != want[j][i] {
+				t.Fatalf("level %d coef %d: digit %d, want %d", j, i, dst[j].Coefs[i], want[j][i])
+			}
+		}
+	}
+}
+
 func TestOffsetMatchesDefinition(t *testing.T) {
 	p := Params{Levels: 2, BaseLog: 8}
 	// offset = sum_j (Bg/2) * 2^(32 - j*Bgbit) for j=1..l

@@ -77,6 +77,22 @@ func (f *HalfPoly) MulAccTo(a, b *HalfPoly) {
 // loads and stores of the accumulator relative to two MulAccTo calls. This
 // is the inner loop of the batched external product.
 func (f *HalfPoly) MulAccPairTo(a1, b1, a2, b2 *HalfPoly) {
+	m := len(f.Re)
+	if hasAVX2FMA && m > 0 && m%4 == 0 {
+		for _, x := range [...]*HalfPoly{f, a1, b1, a2, b2} {
+			if len(x.Re) < m || len(x.Im) < m {
+				panic("torus: MulAccPairTo operand shorter than the accumulator")
+			}
+		}
+		mulAccPairAVX2(&f.Re[0], &f.Im[0], &a1.Re[0], &a1.Im[0], &b1.Re[0], &b1.Im[0],
+			&a2.Re[0], &a2.Im[0], &b2.Re[0], &b2.Im[0], m)
+		return
+	}
+	f.mulAccPairToGeneric(a1, b1, a2, b2)
+}
+
+// mulAccPairToGeneric is the portable MulAccPairTo.
+func (f *HalfPoly) mulAccPairToGeneric(a1, b1, a2, b2 *HalfPoly) {
 	fr, fi := f.Re, f.Im
 	a1r, a1i := a1.Re, a1.Im
 	b1r, b1i := b1.Re, b1.Im
@@ -101,9 +117,20 @@ type halfTables struct {
 	foldRe []float64 // cos(πj/N), j < M
 	foldIm []float64 // sin(πj/N), j < M
 	stages []halfStage
-	fwdRe  []float64 // per stage, per j: w^j, w^{2j}, w^{3j} with w = e^{-2πi/s}
+	// Per stage, three planar runs of q twiddles: w^j, then w^{2j}, then
+	// w^{3j} for j < q, with w = e^{-2πi/s}. Planar runs let the vector
+	// kernels load four consecutive j with one instruction.
+	fwdRe  []float64
 	fwdIm  []float64
 	radix2 bool // trailing size-2 stage when log2 M is odd
+	// avx2 selects the assembly kernels (kernels_amd64.s): the CPU has
+	// AVX2 and FMA and the transform is at least four points wide.
+	avx2 bool
+	// tail8 holds the twiddles of the s=8 stage as the vector kernel
+	// consumes them, one block of eight points per iteration:
+	// [1, 1, w^0, w^1] and [w^0, w^2, w^0, w^3] (w = e^{-2πi/8}), real
+	// parts then imaginary parts.
+	tail8 [16]float64
 }
 
 var (
@@ -155,8 +182,8 @@ func newHalfTables(n int) *halfTables {
 	for s := m; s >= 4; s >>= 2 {
 		q := s / 4
 		t.stages = append(t.stages, halfStage{s: s, q: q, off: len(t.fwdRe)})
-		for j := 0; j < q; j++ {
-			for r := 1; r <= 3; r++ {
+		for r := 1; r <= 3; r++ {
+			for j := 0; j < q; j++ {
 				ang := -2 * math.Pi * float64(j*r) / float64(s)
 				t.fwdRe = append(t.fwdRe, math.Cos(ang))
 				t.fwdIm = append(t.fwdIm, math.Sin(ang))
@@ -164,18 +191,25 @@ func newHalfTables(n int) *halfTables {
 		}
 		if s == 8 { // next size is 2: handled by the radix-2 tail
 			t.radix2 = true
+			o := t.stages[len(t.stages)-1].off
+			re, im := t.fwdRe[o:o+6], t.fwdIm[o:o+6]
+			t.tail8 = [16]float64{
+				1, 1, re[0], re[1], re[2], re[3], re[4], re[5],
+				0, 0, im[0], im[1], im[2], im[3], im[4], im[5],
+			}
 			break
 		}
 	}
 	if m == 2 {
 		t.radix2 = true
 	}
+	t.avx2 = hasAVX2FMA && m >= 4
 	return t
 }
 
-// fft is the forward M-point transform (ω = e^{-2πi/M}), leaving the
-// spectrum in digit-reversed order.
-func (t *halfTables) fft(re, im []float64) {
+// fftGeneric is the forward M-point transform (ω = e^{-2πi/M}), leaving
+// the spectrum in digit-reversed order. fftAVX2 is its vector twin.
+func (t *halfTables) fftGeneric(re, im []float64) {
 	for _, st := range t.stages {
 		s, q := st.s, st.q
 		for b := 0; b < t.m; b += s {
@@ -194,9 +228,9 @@ func (t *halfTables) fft(re, im []float64) {
 				dr, di := x1r-x3r, x1i-x3i // x1 - x3
 				re[j], im[j] = ar+cr, ai+ci
 				w1r, w1i := t.fwdRe[tw], t.fwdIm[tw]
-				w2r, w2i := t.fwdRe[tw+1], t.fwdIm[tw+1]
-				w3r, w3i := t.fwdRe[tw+2], t.fwdIm[tw+2]
-				tw += 3
+				w2r, w2i := t.fwdRe[tw+q], t.fwdIm[tw+q]
+				w3r, w3i := t.fwdRe[tw+2*q], t.fwdIm[tw+2*q]
+				tw++
 				// y1 = (b - i·d)·w^j
 				t1r, t1i := br+di, bi-dr
 				re[i1], im[i1] = t1r*w1r-t1i*w1i, t1r*w1i+t1i*w1r
@@ -219,10 +253,10 @@ func (t *halfTables) fft(re, im []float64) {
 	}
 }
 
-// ifft undoes fft up to an overall factor of M (folded into the unfold
-// scaling by the callers): stages are inverted in reverse order with
-// conjugated twiddles.
-func (t *halfTables) ifft(re, im []float64) {
+// ifftGeneric undoes fftGeneric up to an overall factor of M (folded into
+// the unfold scaling): stages are inverted in reverse order with
+// conjugated twiddles. ifftAVX2 is its vector twin.
+func (t *halfTables) ifftGeneric(re, im []float64) {
 	if t.radix2 {
 		for i := 0; i < t.m; i += 2 {
 			xr, xi := re[i], im[i]
@@ -241,9 +275,9 @@ func (t *halfTables) ifft(re, im []float64) {
 				i2 := i1 + q
 				i3 := i2 + q
 				w1r, w1i := t.fwdRe[tw], t.fwdIm[tw]
-				w2r, w2i := t.fwdRe[tw+1], t.fwdIm[tw+1]
-				w3r, w3i := t.fwdRe[tw+2], t.fwdIm[tw+2]
-				tw += 3
+				w2r, w2i := t.fwdRe[tw+q], t.fwdIm[tw+q]
+				w3r, w3i := t.fwdRe[tw+2*q], t.fwdIm[tw+2*q]
+				tw++
 				y0r, y0i := re[j], im[j]
 				// z_r = y_r · conj(w^{rj})
 				y1r, y1i := re[i1], im[i1]
@@ -282,31 +316,40 @@ func (p *Processor) HalfM() int { return p.n / 2 }
 // domain.
 func (p *Processor) HalfFoldInt(dst *HalfPoly, src *IntPoly) {
 	t := p.halfTab()
-	m := t.m
-	re, im := dst.Re, dst.Im
-	for j := 0; j < m; j++ {
-		a := float64(src.Coefs[j])
-		b := float64(src.Coefs[j+m])
-		// (a - i·b) · e^{-iπj/N}
-		re[j] = a*t.foldRe[j] - b*t.foldIm[j]
-		im[j] = -(a*t.foldIm[j] + b*t.foldRe[j])
+	if t.avx2 {
+		halfFoldIntAVX2(dst.Re[:t.m], dst.Im[:t.m], t.foldRe, t.foldIm, src.Coefs[:2*t.m])
+		t.fftAVX2(dst.Re[:t.m], dst.Im[:t.m])
+		return
 	}
-	t.fft(re, im)
+	halfFoldGeneric(dst.Re, dst.Im, t.foldRe, t.foldIm, src.Coefs)
+	t.fftGeneric(dst.Re, dst.Im)
 }
 
 // HalfFoldTorus transforms a torus polynomial (coefficients as signed
 // integers) into the half-complex domain.
 func (p *Processor) HalfFoldTorus(dst *HalfPoly, src *TorusPoly) {
 	t := p.halfTab()
-	m := t.m
-	re, im := dst.Re, dst.Im
-	for j := 0; j < m; j++ {
-		a := float64(int32(src.Coefs[j]))
-		b := float64(int32(src.Coefs[j+m]))
-		re[j] = a*t.foldRe[j] - b*t.foldIm[j]
-		im[j] = -(a*t.foldIm[j] + b*t.foldRe[j])
+	if t.avx2 {
+		halfFoldTorusAVX2(dst.Re[:t.m], dst.Im[:t.m], t.foldRe, t.foldIm, src.Coefs[:2*t.m])
+		t.fftAVX2(dst.Re[:t.m], dst.Im[:t.m])
+		return
 	}
-	t.fft(re, im)
+	halfFoldGeneric(dst.Re, dst.Im, t.foldRe, t.foldIm, src.Coefs)
+	t.fftGeneric(dst.Re, dst.Im)
+}
+
+// halfFoldGeneric is the portable fold and twist
+// c_j = (a_j - i·a_{j+M}) · e^{-iπj/N}; torus coefficients are read as
+// signed integers.
+func halfFoldGeneric[T int32 | uint32](re, im, foldRe, foldIm []float64, src []T) {
+	m := len(foldRe)
+	for j := 0; j < m; j++ {
+		a := float64(int32(src[j]))
+		b := float64(int32(src[j+m]))
+		// (a - i·b) · e^{-iπj/N}
+		re[j] = a*foldRe[j] - b*foldIm[j]
+		im[j] = -(a*foldIm[j] + b*foldRe[j])
+	}
 }
 
 // AddHalfToTorus inverse-transforms src and adds the resulting polynomial
@@ -317,15 +360,27 @@ func (p *Processor) AddHalfToTorus(dst *TorusPoly, src *HalfPoly) {
 	re, im := p.scReRe[:m], p.scIm[:m]
 	copy(re, src.Re)
 	copy(im, src.Im)
-	t.ifft(re, im)
+	if t.avx2 {
+		t.ifftAVX2(re, im)
+		halfUnfoldAVX2(dst.Coefs[:2*m], re, im, t.foldRe, t.foldIm)
+		return
+	}
+	t.ifftGeneric(re, im)
+	halfUnfoldGeneric(dst.Coefs, re, im, t.foldRe, t.foldIm)
+}
+
+// halfUnfoldGeneric is the portable unfold and round: it adds
+// a_j = Re(c_j·e^{iπj/N})/M and a_{j+M} = -Im(c_j·e^{iπj/N})/M to dst.
+func halfUnfoldGeneric(dst []Torus32, re, im, foldRe, foldIm []float64) {
+	m := len(foldRe)
 	inv := 1 / float64(m)
 	for j := 0; j < m; j++ {
 		// c_j·e^{iπj/N}: real part is coefficient j, -imag is j+M.
 		cr := re[j] * inv
 		ci := im[j] * inv
-		rr := cr*t.foldRe[j] - ci*t.foldIm[j]
-		ri := cr*t.foldIm[j] + ci*t.foldRe[j]
-		dst.Coefs[j] += roundTorus(rr)
-		dst.Coefs[j+m] += roundTorus(-ri)
+		rr := cr*foldRe[j] - ci*foldIm[j]
+		ri := cr*foldIm[j] + ci*foldRe[j]
+		dst[j] += roundTorus(rr)
+		dst[j+m] += roundTorus(-ri)
 	}
 }

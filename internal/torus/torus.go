@@ -92,8 +92,25 @@ func (p *TorusPoly) AddTo(src *TorusPoly) {
 
 // SubFrom subtracts src from p coefficient-wise.
 func (p *TorusPoly) SubFrom(src *TorusPoly) {
-	for i, c := range src.Coefs {
-		p.Coefs[i] -= c
+	Sub(p.Coefs, src.Coefs)
+}
+
+// Sub computes dst[i] -= src[i] modulo 2^32 for every i < len(src); dst
+// must be at least as long as src. It is the row subtraction of the key
+// switch.
+func Sub(dst, src []Torus32) {
+	dst = dst[:len(src)]
+	if hasAVX2FMA {
+		subAVX2(dst, src)
+		return
+	}
+	subGeneric(dst, src)
+}
+
+// subGeneric is the portable Sub.
+func subGeneric(dst, src []Torus32) {
+	for i, c := range src {
+		dst[i] -= c
 	}
 }
 
