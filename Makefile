@@ -21,9 +21,11 @@ verify:
 	./scripts/verify.sh
 
 # Race-checked tests for the serving stack: shared executor, wire format,
-# and the pytfhed server (concurrent sessions, backpressure, drain).
+# and the pytfhed server (concurrent sessions, backpressure, drain), plus
+# 15 s of FuzzUnmarshalCloudKey — the decoder every uploaded key meets.
 serve-test:
 	go test -race ./internal/serve/... ./internal/wire/... ./internal/backend/...
+	go test -race -run '^$$' -fuzz FuzzUnmarshalCloudKey -fuzztime 15s ./internal/tfhe/boot/
 
 # Race-checked QoS + observability subsystem: the weighted fair queue,
 # per-tenant quotas, byte-accounted LRU caches, the Prometheus-text
@@ -55,15 +57,16 @@ bench:
 	go test -bench=. -benchmem -run '^$$' .
 	go run ./cmd/experiments -quick -planbench -planbaseline BENCH_PLAN.json -planout BENCH_PLAN.json
 
-# Kernel hot-path microbenchmarks: the forward/inverse negacyclic FFT
-# passes (full and half-complex; the half-complex fold, unfold and
-# multiply-accumulate and the key-switch row subtraction each as generic
+# Kernel hot-path microbenchmarks: the half-complex fold, unfold and
+# multiply-accumulate and the key-switch row subtraction (each as generic
 # and asm sub-benchmarks), the gadget decomposition, the CMux
-# blind-rotation step single vs batched, and the end-to-end
-# single-vs-batched bootstrap sweep.
+# blind-rotation step at batch sizes 1..64, the end-to-end
+# single-vs-batched bootstrap sweep, and the per-session cloud-key costs
+# at Default128 (encode, decode, content hash).
 bench-kernel:
 	go test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/torus/ ./internal/tfhe/tgsw/
 	go test -bench 'BenchmarkBatchBootstrap' -benchmem -run '^$$' .
+	go test -bench 'BenchmarkCloudKeyCodec' -benchmem -run '^$$' ./internal/wire/
 
 # AVX2/FMA kernels: vet (asmdecl checks every assembly frame against its Go
 # declaration), the asm-vs-generic oracles and key-switch tests under

@@ -25,7 +25,6 @@ import (
 	"pytfhe/internal/sched"
 	"pytfhe/internal/synth"
 	"pytfhe/internal/tfhe/gate"
-	"pytfhe/internal/torus"
 	"pytfhe/internal/trand"
 	"pytfhe/internal/vipbench"
 )
@@ -140,7 +139,7 @@ func BenchmarkBatchBootstrap(b *testing.B) {
 }
 
 // BenchmarkKeyGenerationTestParams times full key generation (bootstrapping
-// key in the Fourier domain plus the key-switching key).
+// key in the half-complex domain plus the key-switching key).
 func BenchmarkKeyGenerationTestParams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.GenerateKeysSeeded(params.Test(), []byte{byte(i)}); err != nil {
@@ -525,33 +524,6 @@ func BenchmarkAblationResynthesis(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(gt.Gates))/float64(len(out.Gates)), "shrink-factor")
 	}
-}
-
-// BenchmarkAblationFFTPair compares the pair-packed forward transform
-// against two single transforms (the hot-loop optimization of the
-// external product).
-func BenchmarkAblationFFTPair(b *testing.B) {
-	const n = 1024
-	proc := torus.NewProcessor(n)
-	p1 := torus.NewIntPoly(n)
-	p2 := torus.NewIntPoly(n)
-	for i := 0; i < n; i++ {
-		p1.Coefs[i] = int32(i%127) - 64
-		p2.Coefs[i] = int32(i%89) - 44
-	}
-	f1 := torus.NewFourierPoly(n)
-	f2 := torus.NewFourierPoly(n)
-	b.Run("paired", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			proc.IntPairToFourier(f1, f2, p1, p2)
-		}
-	})
-	b.Run("singles", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			proc.IntToFourier(f1, p1)
-			proc.IntToFourier(f2, p2)
-		}
-	})
 }
 
 // BenchmarkAblationAdderDepth compares ripple vs Kogge-Stone adders on the

@@ -13,7 +13,8 @@
 //	pytfhe server-stats -server addr [-json]
 //
 // Programs are PyTFHE binaries (the 128-bit instruction format of the
-// paper); keys serialize with encoding/gob.
+// paper); keys serialize with encoding/gob, the cloud key as its
+// fixed-width coefficient encoding (boot.CloudKey.MarshalBinary).
 package main
 
 import (
@@ -859,5 +860,8 @@ func readGob(path string, v any) error {
 		return err
 	}
 	defer f.Close()
-	return gob.NewDecoder(f).Decode(v)
+	if err := gob.NewDecoder(f).Decode(v); err != nil {
+		return fmt.Errorf("read %s: %w", path, err)
+	}
+	return nil
 }

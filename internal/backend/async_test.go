@@ -122,12 +122,20 @@ func TestAsyncMatchesSimulatedMakespan(t *testing.T) {
 	const workers = 2
 	predicted := sched.SimulateAsync(nl, sched.LocalPool(workers, gt)).Makespan
 
+	// The measured makespan is a median too: one run lasts ~10 ms, so a
+	// single OS time slice lost to another process on a loaded machine
+	// would otherwise decide the ratio.
 	be := NewAsync(ck, workers)
 	in := make([]bool, nl.NumInputs)
-	if _, err := be.Run(nl, EncryptInputs(sk, in)); err != nil {
-		t.Fatal(err)
+	runs := make([]time.Duration, 3)
+	for i := range runs {
+		if _, err := be.Run(nl, EncryptInputs(sk, in)); err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = be.Stats.Elapsed
 	}
-	measured := be.Stats.Elapsed
+	sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
+	measured := runs[len(runs)/2]
 
 	ratio := float64(measured) / float64(predicted)
 	if ratio < 1.0/3 || ratio > 3 {

@@ -43,9 +43,9 @@ func wideXor(t testing.TB, m int) *circuit.Netlist {
 	return b.MustBuild()
 }
 
-// chainP95 runs the chain reps times on ex under key and returns the p95
-// latency.
-func chainP95(t *testing.T, ex *Shared, key *SharedKey, nl *circuit.Netlist, in []bool, reps int) time.Duration {
+// chainLatencies runs the chain reps times on ex under key and returns
+// the latencies in ascending order.
+func chainLatencies(t *testing.T, ex *Shared, key *SharedKey, nl *circuit.Netlist, in []bool, reps int) []time.Duration {
 	t.Helper()
 	sk, _ := keys(t)
 	enc := EncryptInputs(sk, in)
@@ -58,7 +58,49 @@ func chainP95(t *testing.T, ex *Shared, key *SharedKey, nl *circuit.Netlist, in 
 		lats = append(lats, time.Since(start))
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return lats
+}
+
+// chainP95 runs the chain reps times on ex under key and returns the p95
+// latency.
+func chainP95(t *testing.T, ex *Shared, key *SharedKey, nl *circuit.Netlist, in []bool, reps int) time.Duration {
+	t.Helper()
+	lats := chainLatencies(t, ex, key, nl, in, reps)
 	return lats[(len(lats)-1)*95/100]
+}
+
+// startFlood keeps ex saturated from two goroutines submitting the wide
+// flood under key hot, and returns the function that stops them.
+func startFlood(t *testing.T, ex *Shared, hot *SharedKey) (stop func()) {
+	t.Helper()
+	sk, _ := keys(t)
+	flood := wideXor(t, 8) // 28 independent bootstrapped gates
+	encFlood := EncryptInputs(sk, bitsOf(0xA5, 8))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := ex.Submit(context.Background(), hot, flood, encFlood); err != nil {
+					if !errors.Is(err, ErrExecutorClosed) {
+						t.Errorf("flood: %v", err)
+					}
+					return
+				}
+			}
+		}()
+	}
+	return func() {
+		close(done)
+		wg.Wait()
+	}
 }
 
 // TestSharedFairnessUnderLoad is the starvation regression test: a light
@@ -73,7 +115,12 @@ func TestSharedFairnessUnderLoad(t *testing.T) {
 		t.Skip("bootstrapping benchmark-style test; skipped in -short")
 	}
 	sk, ck := keys(t)
-	chain := nandChain(t, 4)
+	// Sixteen gates (~7 ms alone) keep the probe above the OS time slice,
+	// as four gates did when a gate cost ~4.7 ms: a shorter probe on a
+	// loaded machine measures the machine, not the picker. The fixed
+	// per-request delay a longer probe amortises is pinned separately by
+	// TestSharedShortRequestHandoff.
+	chain := nandChain(t, 16)
 	flood := wideXor(t, 8) // 28 independent bootstrapped gates
 	in := []bool{true, false}
 	const reps = 12
@@ -105,31 +152,9 @@ func TestSharedFairnessUnderLoad(t *testing.T) {
 
 	// Contended: the hot tenant keeps the queue saturated with wide
 	// floods while the light tenant re-runs its probe.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	encFlood := EncryptInputs(sk, bitsOf(0xA5, 8))
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := ex.Submit(context.Background(), hot, flood, encFlood); err != nil {
-					if !errors.Is(err, ErrExecutorClosed) {
-						t.Errorf("flood: %v", err)
-					}
-					return
-				}
-			}
-		}()
-	}
+	stop := startFlood(t, ex, hot)
 	contended := chainP95(t, ex, light, chain, in, reps)
-	close(stop)
-	wg.Wait()
+	stop()
 
 	if after := chainP95(t, ex, light, chain, in, reps); after > solo {
 		solo = after
@@ -155,6 +180,54 @@ func TestSharedFairnessUnderLoad(t *testing.T) {
 	st := ex.Stats()
 	if st.TenantPicks[light.ID()] == 0 || st.TenantPicks[hot.ID()] == 0 {
 		t.Fatalf("per-tenant pick accounting dead: %+v", st.TenantPicks)
+	}
+}
+
+// TestSharedShortRequestHandoff pins the completion handoff in
+// Shared.complete. With every worker busy on a flood, the worker that
+// finishes a run's last gate goes straight on to the next queued gate and
+// never parks, so unless it yields its P the woken submitter waits for
+// the runtime's ~10 ms preemption tick. A one-gate request is the most
+// exposed: its median latency under the flood must stay within 4x of its
+// median alone (a probe waits at most one gate for a busy worker; the
+// tick is ~20 gates at Test params). Medians, because a loaded machine's
+// OS time slices delay a few requests, while the tick delays them all.
+func TestSharedShortRequestHandoff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping benchmark-style test; skipped in -short")
+	}
+	_, ck := keys(t)
+	probe := nandChain(t, 1)
+	in := []bool{true, false}
+	const reps = 60
+
+	ex := NewSharedBatch(2, 1)
+	defer ex.Close()
+	light, err := ex.RegisterKey(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := ex.RegisterKey(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := startFlood(t, ex, hot)
+	chainLatencies(t, ex, light, probe, in, 2) // build both tenants' engines
+	stop()
+
+	median := func(lats []time.Duration) time.Duration { return lats[len(lats)/2] }
+	solo := median(chainLatencies(t, ex, light, probe, in, reps))
+	stop = startFlood(t, ex, hot)
+	contended := median(chainLatencies(t, ex, light, probe, in, reps))
+	stop()
+	if after := median(chainLatencies(t, ex, light, probe, in, reps)); after > solo {
+		solo = after
+	}
+
+	t.Logf("one-gate median: solo %v, contended %v (%.2fx, bound 4x)",
+		solo, contended, float64(contended)/float64(solo))
+	if contended > 4*solo {
+		t.Fatalf("short request held after completion: contended median %v > 4x solo median %v", contended, solo)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -444,6 +445,11 @@ func (s *Shared) complete(r *sharedRun, gi int32, out *lwe.Sample, pool *exec.Po
 	}
 	if atomic.AddInt32(&r.done, 1) == r.nGates {
 		r.finish(nil)
+		// Hand this P to the submitter just woken: with every worker
+		// busy and the queue non-empty the worker never parks, so the
+		// finished run's caller would otherwise wait for the runtime's
+		// ~10 ms preemption tick — longer than a whole short request.
+		runtime.Gosched()
 	}
 }
 

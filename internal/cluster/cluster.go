@@ -38,9 +38,10 @@ func init() { wire.Register() }
 
 // ProtoVersion is the coordinator↔worker protocol revision. Version 2
 // added the Welcome handshake (version + key-hash check) and the sharded
-// plan-replay messages; v1 peers are rejected with a typed error instead
-// of a gob decode failure downstream.
-const ProtoVersion = 2
+// plan-replay messages; version 3 ships the cloud key in its fixed-width
+// coefficient encoding (boot.CloudKey.MarshalBinary). Older peers are
+// rejected with a typed error instead of a gob decode failure downstream.
+const ProtoVersion = 3
 
 // Typed handshake and transport errors. Callers match with errors.Is.
 var (
@@ -710,7 +711,7 @@ func (w *Worker) dial(addr string) (net.Conn, error) {
 	}
 }
 
-// handshake runs the worker side of the v2 join: Hello out, Welcome and
+// handshake runs the worker side of the join: Hello out, Welcome and
 // key in, with version and key-hash checks surfaced as typed errors.
 func (w *Worker) handshake(enc *gob.Encoder, dec *gob.Decoder) (*boot.CloudKey, error) {
 	if err := enc.Encode(Message{Hello: &Hello{Slots: w.slots, Version: ProtoVersion}}); err != nil {

@@ -15,6 +15,7 @@ import (
 	"pytfhe/internal/params"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/trand"
+	"pytfhe/internal/wire"
 )
 
 var (
@@ -319,7 +320,7 @@ func TestWorkerLostMidRunRequeues(t *testing.T) {
 }
 
 // TestKeyBroadcastSize sanity-checks that the broadcast cloud key is the
-// dominant setup payload (bootstrapping key in the Fourier domain).
+// dominant setup payload (bootstrapping key as 32-bit coefficients).
 func TestKeyBroadcastSize(t *testing.T) {
 	_, ck := keys(t)
 	var buf bytes.Buffer
@@ -327,11 +328,48 @@ func TestKeyBroadcastSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Test parameters: n=64 TGSW samples of 6 rows x 2 polys x 256 coeffs
-	// x 16 B ≈ 25 MB, plus the switch key. It must at least exceed the
+	// x 4 B ≈ 0.8 MB, plus the switch key. It must at least exceed the
 	// raw bootstrapping-key payload and stay within an order of it.
-	min := 64 * 6 * 2 * 256 * 16
-	if buf.Len() < min {
-		t.Fatalf("serialized cloud key is %d B, below the raw payload %d B", buf.Len(), min)
+	min := 64 * 6 * 2 * 256 * 4
+	if buf.Len() < min || buf.Len() > 10*min {
+		t.Fatalf("serialized cloud key is %d B, raw bootstrapping key %d B", buf.Len(), min)
 	}
 	t.Logf("cloud key wire size: %.1f MB", float64(buf.Len())/1e6)
+}
+
+// TestKeyHashAgreesAcrossRoles checks that the three binaries of a cluster
+// address one key identically: the client hashes the key object, the
+// daemon hashes the bytes the client uploads, and the worker hashes the
+// copy it decodes from the coordinator's broadcast. A worker joining over
+// TCP then passes the coordinator's key-hash check.
+func TestKeyHashAgreesAcrossRoles(t *testing.T) {
+	_, ck := keys(t)
+	client, err := wire.KeyHash(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload, err := ck.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon := wire.KeyBytesHash(upload)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(Message{Key: ck}); err != nil {
+		t.Fatal(err)
+	}
+	var got Message
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	worker, err := wire.KeyHash(got.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if client != daemon || daemon != worker {
+		t.Fatalf("key hashes disagree: client %s, daemon %s, worker %s", client, daemon, worker)
+	}
+	coord := startCluster(t, ck, 1, 1)
+	if coord.keyHash != client {
+		t.Fatalf("coordinator bound %s, client hashed %s", coord.keyHash, client)
+	}
 }

@@ -234,26 +234,28 @@ func TestPendingCoordinatorBindsLate(t *testing.T) {
 
 func TestVersionMismatchRejectedByCoordinator(t *testing.T) {
 	_, ck := keys(t)
-	coord, err := NewCoordinator(ck, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close() })
-	go func() {
-		conn, err := net.Dial("tcp", coord.Addr())
+	for _, v := range []int{1, ProtoVersion - 1} {
+		coord, err := NewCoordinator(ck, "127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		defer conn.Close()
-		enc := gob.NewEncoder(conn)
-		if err := enc.Encode(Message{Hello: &Hello{Slots: 1, Version: 1}}); err != nil {
-			return
+		t.Cleanup(func() { coord.Close() })
+		go func() {
+			conn, err := net.Dial("tcp", coord.Addr())
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			enc := gob.NewEncoder(conn)
+			if err := enc.Encode(Message{Hello: &Hello{Slots: 1, Version: v}}); err != nil {
+				return
+			}
+			var rej Message
+			_ = gob.NewDecoder(conn).Decode(&rej)
+		}()
+		if err := coord.AcceptWorkers(1); !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("v%d peer: err = %v, want ErrVersionMismatch", v, err)
 		}
-		var rej Message
-		_ = gob.NewDecoder(conn).Decode(&rej)
-	}()
-	if err := coord.AcceptWorkers(1); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("err = %v, want ErrVersionMismatch", err)
 	}
 }
 

@@ -7,11 +7,12 @@ import (
 )
 
 // batchAlias guards the batched TFHE entry points (BinaryBatch,
-// BootstrapBatch, BootstrapLUTBatch, CMuxRotateBatch) against operand
-// aliasing. The batch kernels interleave their per-lane work — forward
-// FFTs for every lane, then the shared accumulator sweep, then the inverse
-// FFTs — so writing dst[i] while src[j] still points at the same sample
-// corrupts lanes that a loop of scalar calls would have handled correctly.
+// BootstrapBatch, BootstrapLUTBatch) against operand aliasing. The batch
+// kernels interleave their per-lane work — every lane's accumulator is
+// programmed, then the shared key-index sweep rotates them all, then each
+// is extracted and key-switched — so writing dst[i] while src[j] still
+// points at the same sample corrupts lanes that a loop of scalar calls
+// would have handled correctly.
 // The scalar path tolerates dst == a (it reads operands before writing);
 // the batched path must not, and the kernels only check for nil, not for
 // aliasing.
@@ -38,7 +39,6 @@ var batchMethods = map[string]bool{
 	"BinaryBatch":       true,
 	"BootstrapBatch":    true,
 	"BootstrapLUTBatch": true,
-	"CMuxRotateBatch":   true,
 }
 
 func (a *batchAlias) Check(m *Module, pkg *Package) []Finding {

@@ -9,14 +9,13 @@ import (
 // gate bootstrap or external product — the tens-of-milliseconds operations
 // of the scheme.
 var expensiveOps = map[string]bool{
-	"Binary":           true,
-	"Mux":              true,
-	"Bootstrap":        true,
-	"BootstrapWoKS":    true,
-	"BootstrapLUT":     true,
-	"BootstrapLUTWoKS": true,
-	"ExternalProduct":  true,
-	"BlindRotate":      true,
+	"Binary":          true,
+	"Mux":             true,
+	"Bootstrap":       true,
+	"BootstrapWoKS":   true,
+	"BootstrapLUT":    true,
+	"ExternalProduct": true,
+	"BlindRotate":     true,
 }
 
 // concurrencyDirs are the packages whose locks guard executor shared state.

@@ -65,7 +65,11 @@ func (c *Client) RegisterProgram(bin []byte) (*ProgramInfo, error) {
 // OpenSession uploads the cloud evaluation key for this connection. Every
 // Evaluate call afterwards runs under it.
 func (c *Client) OpenSession(ck *boot.CloudKey) (*SessionInfo, error) {
-	resp, err := c.roundTrip(Request{Open: &OpenSession{Key: ck}})
+	key, err := ck.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("serve: open session: %w", err)
+	}
+	resp, err := c.roundTrip(Request{Open: &OpenSession{Key: key}})
 	if err != nil {
 		return nil, err
 	}

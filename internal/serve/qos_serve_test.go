@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pytfhe/internal/qos"
+	"pytfhe/internal/wire"
 )
 
 // evalOnce registers prog on a fresh connection, opens kp's session, and
@@ -289,7 +290,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	keyHash, err := hashKey(kp.Cloud)
+	keyHash, err := wire.KeyHash(kp.Cloud)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,6 +260,8 @@ type Server struct {
 	quotaRej int64         // atomic: qos.ErrQuotaExceeded rejections
 	draining int32         // atomic bool
 
+	keyDecodes atomic.Int64 // cloud keys decoded by OpenSession
+
 	// Cluster dispatch (nil coord: disabled). The coordinator accepts
 	// worker joins in the background from Start on; clusterRun serializes
 	// sharded runs (one at a time — contended requests evaluate locally).
@@ -548,19 +550,12 @@ func (s *Server) analyzeNoise(prog *core.Program) (ProgramNoise, error) {
 // handleOpen registers the session's cloud key with the shared executor.
 // Identical keys (by content hash) share one executor handle and one
 // replay runner, so N sessions of the same tenant cost one engine set,
-// not N. The server refcounts open sessions per key hash; the last close
-// releases the key's executor engines and replay runner (closeSession).
+// not N. The key is hashed as uploaded and decoded only when no session
+// holds that hash, so a tenant's later sessions never decode it again. The
+// server refcounts open sessions per key hash; the last close releases the
+// key's executor engines and replay runner (closeSession).
 func (s *Server) handleOpen(req *OpenSession, sess **session) Response {
-	if req.Key == nil {
-		return Response{Err: &WireError{Code: codeInternal, Msg: "open session carried no cloud key"}}
-	}
-	if err := req.Key.Params.Validate(); err != nil {
-		return Response{Err: &WireError{Code: codeInternal, Msg: fmt.Sprintf("bad cloud key: %v", err)}}
-	}
-	keyHash, err := hashKey(req.Key)
-	if err != nil {
-		return Response{Err: &WireError{Code: codeInternal, Msg: err.Error()}}
-	}
+	keyHash := wire.KeyBytesHash(req.Key)
 	// The ref increment shares the critical section with the handle
 	// lookup so a concurrent closeSession of the same key cannot release
 	// the handle between our lookup and our claim on it.
@@ -571,7 +566,12 @@ func (s *Server) handleOpen(req *OpenSession, sess **session) Response {
 	}
 	s.mu.Unlock()
 	if !shared {
-		h, err := s.exec.RegisterKey(req.Key)
+		ck := new(boot.CloudKey)
+		s.keyDecodes.Add(1)
+		if err := ck.UnmarshalBinary(req.Key); err != nil {
+			return Response{Err: toWire(fmt.Errorf("%w: %v", ErrRejected, err))}
+		}
+		h, err := s.exec.RegisterKey(ck)
 		if err != nil {
 			return Response{Err: toWire(err)}
 		}
@@ -591,7 +591,7 @@ func (s *Server) handleOpen(req *OpenSession, sess **session) Response {
 		}
 	}
 	if s.coord != nil {
-		s.bindCluster(keyHash, req.Key)
+		s.bindCluster(keyHash, handle.Params())
 	}
 	// A re-open on the same connection replaces the session: drop the old
 	// key's ref or it would leak until the connection closes.
@@ -675,12 +675,6 @@ func (s *Server) bindCluster(keyHash string, ck *boot.CloudKey) {
 		return
 	}
 	s.clusterKey = keyHash
-}
-
-// hashKey content-addresses a cloud key; the hash doubles as the cluster
-// handshake's key check, so the streaming logic lives in wire.KeyHash.
-func hashKey(ck *boot.CloudKey) (string, error) {
-	return wire.KeyHash(ck)
 }
 
 // handleEval wraps the evaluation path with telemetry: every request is

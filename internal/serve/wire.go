@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"pytfhe/internal/qos"
-	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/wire"
 )
@@ -36,8 +35,9 @@ var (
 	ErrTimeout = errors.New("serve: evaluation timed out")
 	// ErrDraining: the server is shutting down and admits no new work.
 	ErrDraining = errors.New("serve: server draining")
-	// ErrRejected: the program failed admission linting.
-	ErrRejected = errors.New("serve: program rejected")
+	// ErrRejected: the program failed admission linting, or the cloud
+	// key of an OpenSession does not decode (boot.ErrKeyFormat).
+	ErrRejected = errors.New("serve: request rejected")
 	// ErrQuotaExceeded aliases qos.ErrQuotaExceeded: the session's tenant
 	// is over its per-tenant in-flight or gate budget. Unlike
 	// ErrOverloaded this is not a server-wide condition — other tenants
@@ -64,10 +64,13 @@ type RegisterProgram struct {
 }
 
 // OpenSession registers the client's cloud evaluation key for this
-// connection. The ~MB key upload is paid once here; every subsequent
-// Evaluate on the connection reuses it.
+// connection, as its boot.CloudKey.MarshalBinary encoding (~93 MB at
+// Default128). The upload is paid once here; every subsequent Evaluate on
+// the connection reuses it. The server content-addresses the key by the
+// SHA-256 of these bytes (wire.KeyBytesHash) and decodes them only when
+// no open session already holds that key.
 type OpenSession struct {
-	Key *boot.CloudKey
+	Key []byte
 }
 
 // EvalRequest submits one encrypted evaluation of a registered program.

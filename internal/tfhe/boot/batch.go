@@ -14,20 +14,17 @@ import (
 // blind rotation: the key-index loop is outermost, so for every bootstrap-
 // key index i the TGSW sample BK[i], the gadget geometry, and the FFT
 // twiddle tables are loaded once and applied to all B accumulators before
-// advancing to i+1 — the single-gate path re-streams the entire key per
-// gate instead. The rotations run on the half-complex kernel engine
-// (tgsw.BatchScratch.CMuxRotateBatchHalf), whose per-gate results are
-// bit-exact with Evaluator.Bootstrap.
+// advancing to i+1 — a batch of one, which is what Evaluator runs,
+// re-streams the entire key per gate instead. The rotations run on the
+// half-complex kernel engine (tgsw.BatchScratch.CMuxRotateBatchHalf).
 //
 // Like Evaluator, a BatchEvaluator is not safe for concurrent use: create
-// one per worker goroutine. The half-domain bootstrapping key is built once
-// per CloudKey and shared.
+// one per worker goroutine over a shared CloudKey.
 type BatchEvaluator struct {
 	CK      *CloudKey
 	Prof    Profile
 	Profile bool // when true, phases are timed into Prof
 
-	bkHalf   []*tgsw.HalfSample
 	bs       *tgsw.BatchScratch
 	accs     []*tlwe.Sample
 	testvect *torus.TorusPoly
@@ -48,8 +45,7 @@ func NewBatchEvaluator(ck *CloudKey, capacity int) *BatchEvaluator {
 	}
 	e := &BatchEvaluator{
 		CK:       ck,
-		bkHalf:   ck.BKHalf(),
-		bs:       tgsw.NewBatchScratch(p.PolyDegree, p.RingCount, gp, 1),
+		bs:       tgsw.NewBatchScratch(p.PolyDegree, p.RingCount, gp),
 		testvect: torus.NewTorusPoly(p.PolyDegree),
 		rotated:  torus.NewTorusPoly(p.PolyDegree),
 		extr:     lwe.NewSample(p.ExtractedLWEDimension()),
@@ -109,7 +105,7 @@ func (e *BatchEvaluator) blindRotateBatch(b int, src []*lwe.Sample) {
 			}
 		}
 		if len(sel) > 0 {
-			e.bs.CMuxRotateBatchHalf(selAccs, e.bkHalf[i], sel)
+			e.bs.CMuxRotateBatchHalf(selAccs, e.CK.BK[i], sel)
 		}
 	}
 }
@@ -308,6 +304,10 @@ func (e *BatchEvaluator) BootstrapLUTBatch(dst []*lwe.Sample, lut func(m int) to
 	if e.Profile {
 		start = time.Now()
 	}
+	// Program the test vector: the input phase is offset by half a slot so
+	// message m occupies ring positions [m*2N/msize, (m+1)*2N/msize) — this
+	// keeps m = 0 robust against negative noise — and coefficient j then
+	// holds lut(floor(j*msize/2N)).
 	n := p.PolyDegree
 	for j := 0; j < n; j++ {
 		m := j * msize / twoN

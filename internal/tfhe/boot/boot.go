@@ -9,7 +9,6 @@ package boot
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"pytfhe/internal/params"
@@ -29,37 +28,33 @@ type SecretKey struct {
 	Extracted *lwe.Key  // N*k-dimensional key extracted from Ring
 }
 
-// CloudKey is the public evaluation key material: the Fourier-domain
-// bootstrapping key (one TGSW encryption of each LWE key bit) and the
-// key-switching key from the extracted key back to the gate key.
+// CloudKey is the public evaluation key material: the bootstrapping key
+// (one TGSW encryption of each LWE key bit, held in the half-complex
+// domain the blind-rotation engine consumes) and the key-switching key
+// from the extracted key back to the gate key. It is immutable after
+// generation or decoding and shared by every evaluator; on the wire it
+// travels in the fixed-width coefficient form of MarshalBinary.
 type CloudKey struct {
 	Params *params.GateParams
-	BK     []*tgsw.FourierSample
+	BK     []*tgsw.HalfSample
 	KS     *lwe.SwitchKey
-
-	halfOnce sync.Once
-	bkHalf   []*tgsw.HalfSample
 }
 
-// BKHalf returns the bootstrapping key in the half-complex representation
-// used by the batched blind-rotate engine, converting it from BK on first
-// use (the conversion is exact — see tgsw.FourierSample.Half). The result
-// is shared by every BatchEvaluator on this key; gob encoding of a CloudKey
-// carries only the exported fields, so decoded keys rebuild it lazily too.
-func (ck *CloudKey) BKHalf() []*tgsw.HalfSample {
-	ck.halfOnce.Do(func() {
-		proc := torus.NewProcessor(ck.Params.PolyDegree)
-		ck.bkHalf = make([]*tgsw.HalfSample, len(ck.BK))
-		for i, g := range ck.BK {
-			ck.bkHalf[i] = g.Half(proc)
-		}
-	})
-	return ck.bkHalf
+// checkParams validates p for this package: the generic consistency
+// checks plus the half-complex transform's minimum ring degree.
+func checkParams(p *params.GateParams) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if p.PolyDegree < 4 {
+		return fmt.Errorf("polynomial degree %d below the half-complex minimum of 4", p.PolyDegree)
+	}
+	return nil
 }
 
 // GenerateKeys produces a fresh secret key and the matching cloud key.
 func GenerateKeys(p *params.GateParams, rng *trand.Source) (*SecretKey, *CloudKey, error) {
-	if err := p.Validate(); err != nil {
+	if err := checkParams(p); err != nil {
 		return nil, nil, fmt.Errorf("boot: invalid parameters: %w", err)
 	}
 	gp := tgsw.Params{Levels: p.DecompLevels, BaseLog: p.DecompBaseLog}
@@ -73,11 +68,11 @@ func GenerateKeys(p *params.GateParams, rng *trand.Source) (*SecretKey, *CloudKe
 	ck := &CloudKey{Params: p}
 	proc := torus.NewProcessor(p.PolyDegree)
 	ringKey := &tgsw.Key{TLWE: sk.Ring, Params: gp}
-	ck.BK = make([]*tgsw.FourierSample, p.LWEDimension)
+	ck.BK = make([]*tgsw.HalfSample, p.LWEDimension)
 	raw := tgsw.NewSample(p.PolyDegree, p.RingCount, gp)
 	for i := 0; i < p.LWEDimension; i++ {
 		tgsw.Encrypt(raw, sk.LWE.Bits[i], p.TLWEStdev, ringKey, rng)
-		ck.BK[i] = raw.ToFourier(proc)
+		ck.BK[i] = raw.Half(proc)
 	}
 	ck.KS = lwe.NewSwitchKey(sk.Extracted, sk.LWE, p.KSLevels, p.KSBaseLog, p.LWEStdev, rng)
 	return sk, ck, nil
@@ -91,9 +86,9 @@ type Profile struct {
 	KeySwitch   time.Duration
 	Gates       int64
 
-	// Batch amortization counters (BatchEvaluator): how many BootstrapBatch
-	// dispatches ran and how many gates they covered. BatchedGates/Batches
-	// is the average batch fill the kernel actually saw.
+	// Batch amortization counters: how many batched dispatches ran and
+	// how many gates they covered (an Evaluator call is a batch of one).
+	// BatchedGates/Batches is the average batch fill the kernel saw.
 	Batches      int64
 	BatchedGates int64
 }
@@ -122,33 +117,43 @@ func (p *Profile) Add(other *Profile) {
 	p.BatchedGates += other.BatchedGates
 }
 
-// Evaluator performs bootstrapping with preallocated scratch space. It is
-// not safe for concurrent use; create one Evaluator per worker goroutine
-// (they can share the same CloudKey, which is immutable after generation).
+// Evaluator performs single-gate bootstrapping: each call is the
+// batch-of-one case of a BatchEvaluator, so its outputs are bit-exact with
+// BootstrapBatch member for member. It is not safe for concurrent use;
+// create one Evaluator per worker goroutine (they can share the same
+// CloudKey, which is immutable after generation).
 type Evaluator struct {
 	CK      *CloudKey
 	Prof    Profile
 	Profile bool // when true, phases are timed into Prof
 
-	scratch  *tgsw.Scratch
-	acc      *tlwe.Sample
-	testvect *torus.TorusPoly
-	rotated  *torus.TorusPoly
-	extr     *lwe.Sample
+	b        *BatchEvaluator
+	dst, src []*lwe.Sample // the batch of one
+	mu       []torus.Torus32
 }
 
 // NewEvaluator returns an evaluator bound to ck.
 func NewEvaluator(ck *CloudKey) *Evaluator {
-	p := ck.Params
-	gp := tgsw.Params{Levels: p.DecompLevels, BaseLog: p.DecompBaseLog}
 	return &Evaluator{
-		CK:       ck,
-		scratch:  tgsw.NewScratch(p.PolyDegree, p.RingCount, gp),
-		acc:      tlwe.NewSample(p.PolyDegree, p.RingCount),
-		testvect: torus.NewTorusPoly(p.PolyDegree),
-		rotated:  torus.NewTorusPoly(p.PolyDegree),
-		extr:     lwe.NewSample(p.ExtractedLWEDimension()),
+		CK:  ck,
+		b:   NewBatchEvaluator(ck, 1),
+		dst: make([]*lwe.Sample, 1),
+		src: make([]*lwe.Sample, 1),
+		mu:  make([]torus.Torus32, 1),
 	}
+}
+
+// one loads the batch of one and hands e's profile to the batch
+// evaluator; done takes it back.
+func (e *Evaluator) one(dst *lwe.Sample, mu torus.Torus32, src *lwe.Sample) *BatchEvaluator {
+	e.dst[0], e.mu[0], e.src[0] = dst, mu, src
+	e.b.Profile, e.b.Prof = e.Profile, e.Prof
+	return e.b
+}
+
+func (e *Evaluator) done(err error) error {
+	e.Prof = e.b.Prof
+	return err
 }
 
 // modSwitch2N rescales a torus element to Z_{2N}.
@@ -161,54 +166,12 @@ func modSwitch2N(phase torus.Torus32, twoN int) int {
 // test vector mu, leaving the result under the extracted key (no key
 // switch): dst decrypts to +mu when the phase of src lies in [0, 1/2) and
 // to -mu otherwise. dst must have dimension N*k.
-func (e *Evaluator) BootstrapWoKS(dst *lwe.Sample, mu torus.Torus32, src *lwe.Sample) {
-	var start time.Time
-	if e.Profile {
-		start = time.Now()
-	}
-	p := e.CK.Params
-	twoN := 2 * p.PolyDegree
-
-	for j := range e.testvect.Coefs {
-		e.testvect.Coefs[j] = mu
-	}
-	barb := modSwitch2N(src.B, twoN)
-	if barb != 0 {
-		e.rotated.MulByXai(twoN-barb, e.testvect)
-	} else {
-		e.rotated.Copy(e.testvect)
-	}
-	e.acc.NoiselessTrivial(e.rotated)
-
-	for i, a := range src.A {
-		bara := modSwitch2N(a, twoN)
-		if bara == 0 {
-			continue
-		}
-		e.scratch.CMuxRotateInPlace(e.acc, e.CK.BK[i], bara)
-	}
-	if e.Profile {
-		e.Prof.BlindRotate += time.Since(start)
-		start = time.Now()
-	}
-	tlwe.ExtractSample(dst, e.acc)
-	if e.Profile {
-		e.Prof.Extract += time.Since(start)
-	}
+func (e *Evaluator) BootstrapWoKS(dst *lwe.Sample, mu torus.Torus32, src *lwe.Sample) error {
+	return e.done(e.one(dst, mu, src).BootstrapBatchWoKS(e.dst, e.mu, e.src))
 }
 
 // Bootstrap performs the full gate bootstrap: blind rotation, extraction,
 // and key switch back to the n-dimensional gate key.
 func (e *Evaluator) Bootstrap(dst *lwe.Sample, mu torus.Torus32, src *lwe.Sample) error {
-	e.BootstrapWoKS(e.extr, mu, src)
-	var start time.Time
-	if e.Profile {
-		start = time.Now()
-	}
-	err := e.CK.KS.Apply(dst, e.extr)
-	if e.Profile {
-		e.Prof.KeySwitch += time.Since(start)
-		e.Prof.Gates++
-	}
-	return err
+	return e.done(e.one(dst, mu, src).BootstrapBatch(e.dst, e.mu, e.src))
 }

@@ -1,10 +1,7 @@
 package boot
 
 import (
-	"fmt"
-
 	"pytfhe/internal/tfhe/lwe"
-	"pytfhe/internal/tfhe/tlwe"
 	"pytfhe/internal/torus"
 )
 
@@ -25,51 +22,5 @@ import (
 // upper half decrypt to -lut(m - msize/2) by negacyclicity. The output is
 // key-switched to the gate key like a normal gate bootstrap.
 func (e *Evaluator) BootstrapLUT(dst *lwe.Sample, lut func(m int) torus.Torus32, msize int, src *lwe.Sample) error {
-	if err := e.BootstrapLUTWoKS(e.extr, lut, msize, src); err != nil {
-		return err
-	}
-	return e.CK.KS.Apply(dst, e.extr)
-}
-
-// BootstrapLUTWoKS is BootstrapLUT without the final key switch: the
-// result lives under the extracted (N·k-dimensional) key.
-func (e *Evaluator) BootstrapLUTWoKS(dst *lwe.Sample, lut func(m int) torus.Torus32, msize int, src *lwe.Sample) error {
-	p := e.CK.Params
-	twoN := 2 * p.PolyDegree
-	if msize <= 0 || msize%2 != 0 {
-		return fmt.Errorf("boot: LUT message space must be a positive even number, got %d", msize)
-	}
-	if msize > twoN {
-		return fmt.Errorf("boot: LUT message space %d exceeds 2N = %d", msize, twoN)
-	}
-
-	// Program the test vector: the input phase is offset by half a slot so
-	// message m occupies ring positions [m*2N/msize, (m+1)*2N/msize) — this
-	// keeps m = 0 robust against negative noise — and coefficient j then
-	// holds lut(floor(j*msize/2N)).
-	n := p.PolyDegree
-	for j := 0; j < n; j++ {
-		m := j * msize / twoN
-		e.testvect.Coefs[j] = lut(m % msize)
-	}
-	halfSlot := torus.Torus32(uint32((uint64(1) << 32) / uint64(2*msize)))
-	barb := modSwitch2N(src.B+halfSlot, twoN)
-	if barb != 0 {
-		e.rotated.MulByXai(twoN-barb, e.testvect)
-	} else {
-		e.rotated.Copy(e.testvect)
-	}
-	e.acc.NoiselessTrivial(e.rotated)
-	for i, a := range src.A {
-		bara := modSwitch2N(a, twoN)
-		if bara == 0 {
-			continue
-		}
-		e.scratch.CMuxRotateInPlace(e.acc, e.CK.BK[i], bara)
-	}
-	if dst.Dimension() != p.ExtractedLWEDimension() {
-		return fmt.Errorf("boot: LUT output dimension %d, want %d", dst.Dimension(), p.ExtractedLWEDimension())
-	}
-	tlwe.ExtractSample(dst, e.acc)
-	return nil
+	return e.done(e.one(dst, 0, src).BootstrapLUTBatch(e.dst, lut, msize, e.src))
 }

@@ -190,13 +190,17 @@ func (e *Engine) Mux(dst, sel, a, b *Ciphertext) error {
 	e.tmp.NoiselessTrivial(-mu18)
 	e.tmp.AddMulTo(1, sel)
 	e.tmp.AddMulTo(1, a)
-	e.Eval.BootstrapWoKS(e.u1, mu18, e.tmp)
+	if err := e.Eval.BootstrapWoKS(e.u1, mu18, e.tmp); err != nil {
+		return fmt.Errorf("gate: mux bootstrap: %w", err)
+	}
 
 	// u2 ≈ ±1/8 encoding (¬sel ∧ b)
 	e.tmp.NoiselessTrivial(-mu18)
 	e.tmp.AddMulTo(-1, sel)
 	e.tmp.AddMulTo(1, b)
-	e.Eval.BootstrapWoKS(e.u2, mu18, e.tmp)
+	if err := e.Eval.BootstrapWoKS(e.u2, mu18, e.tmp); err != nil {
+		return fmt.Errorf("gate: mux bootstrap: %w", err)
+	}
 
 	// dst = u1 + u2 + 1/8, key-switched to the gate key. Exactly one of
 	// u1, u2 is +1/8, so the sum is +1/8 (true) or -1/8 (false).

@@ -142,8 +142,9 @@ type SwitchKey struct {
 	NOut    int
 	Levels  int // t
 	BaseLog int // basebit
-	// Rows[i][j][v] is an LWE sample under the output key. Exported so the
-	// cluster backend can ship switch keys over the wire with encoding/gob.
+	// Rows[i][j][v] is an LWE sample under the output key; rows are
+	// read-only once built (a decoded cloud key shares one zero sample
+	// across every v = 0 entry).
 	Rows [][][]*Sample
 }
 

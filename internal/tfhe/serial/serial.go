@@ -2,8 +2,9 @@
 // that cross trust or machine boundaries: LWE ciphertexts (the paper's
 // 2.46 KB payload — exactly (n+1) little-endian 32-bit words), bit-packed
 // secret keys, and batch ciphertext framing for program I/O. The large
-// evaluation keys ship with encoding/gob (see internal/cluster), which
-// handles their nested structure; the formats here are for the small,
+// cloud evaluation key has its own fixed-width coefficient encoding next
+// to its type (boot.CloudKey.MarshalBinary), which gob picks up for the
+// daemon, cluster and key-file paths; the formats here are for the small,
 // high-frequency payloads where framing overhead matters.
 package serial
 

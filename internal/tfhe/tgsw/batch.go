@@ -7,193 +7,81 @@ import (
 
 // HalfSample is a TGSW sample with every row polynomial in the half-complex
 // domain (N/2 informative points instead of N conjugate-redundant ones; see
-// torus/half.go). It is the bootstrapping-key representation of the batched
-// blind-rotate engine: relative to FourierSample it halves both the memory
-// the key streams through the cache and the flops of every pointwise
-// multiply-accumulate.
+// torus/half.go). It is the bootstrapping-key representation: relative to
+// a full-size spectrum it halves both the memory the key streams through
+// the cache and the flops of every pointwise multiply-accumulate.
 type HalfSample struct {
 	Rows   [][]*torus.HalfPoly
 	K      int
 	Params Params
 }
 
-// Half converts the sample to the half-complex representation. The
-// Fourier-domain rows encode torus polynomials exactly, so the conversion
-// inverse-transforms each row (recovering the exact coefficients) and
-// re-folds it at half size; the result is independent of float rounding.
-func (s *FourierSample) Half(proc *torus.Processor) *HalfSample {
+// Half folds a coefficient-domain TGSW sample into the half-complex
+// domain using proc.
+func (s *Sample) Half(proc *torus.Processor) *HalfSample {
 	h := &HalfSample{K: s.K, Params: s.Params, Rows: make([][]*torus.HalfPoly, len(s.Rows))}
-	n := proc.N()
-	coef := torus.NewTorusPoly(n)
 	for u, row := range s.Rows {
-		h.Rows[u] = make([]*torus.HalfPoly, len(row))
-		for c, fp := range row {
-			proc.FourierToTorus(coef, fp)
-			hp := torus.NewHalfPoly(n / 2)
-			proc.HalfFoldTorus(hp, coef)
+		h.Rows[u] = make([]*torus.HalfPoly, len(row.A))
+		for c, poly := range row.A {
+			hp := torus.NewHalfPoly(poly.N() / 2)
+			proc.HalfFoldTorus(hp, poly)
 			h.Rows[u][c] = hp
 		}
 	}
 	return h
 }
 
-// BatchScratch holds the temporaries for batched CMux rotations: instead of
-// decomposing and transforming one accumulator at a time, a whole batch of B
-// accumulators is decomposed first and then walked through the Fourier
-// pipeline against a single TGSW sample. The bootstrap key row BK[i] is
-// thereby streamed through the cache once per batch instead of once per
-// gate, and the pair-packed forward transforms are paired *across* batch
-// members, so an odd decomposition length leaves at most one unpaired
-// transform per batch rather than one per gate.
+// BatchScratch holds the temporaries of the blind-rotation step: the
+// rotate-and-diff sample, its gadget digits, and one member's worth of
+// half-complex spectra and accumulators, reused across a batch. A single
+// gate is the batch of one.
 //
-// Like Scratch, a BatchScratch (and its Processor) must not be shared
-// between goroutines.
+// A BatchScratch (and its Processor) must not be shared between
+// goroutines.
 type BatchScratch struct {
 	Proc *torus.Processor
 
-	n, k, levels int
-	cap          int
-
-	decomp []*torus.IntPoly     // cap * (k+1)*levels digit polys, member-major
-	facc   []*torus.FourierPoly // cap * (k+1) Fourier accumulators, member-major
-	srcVar []float64            // per-member diff variance
-	fdec   *torus.FourierPoly
-	fdec2  *torus.FourierPoly
+	decomp []*torus.IntPoly // (k+1)*levels digit polys
 	diff   *tlwe.Sample
-
-	// Half-complex engine temporaries (CMuxRotateBatchHalf): one member's
-	// worth of digits and spectra, reused across the batch.
 	hspec1 *torus.HalfPoly
 	hspec2 *torus.HalfPoly
 	hfacc  []*torus.HalfPoly // k+1 accumulators
 }
 
-// NewBatchScratch allocates batch scratch for ring degree n, k masks and
-// gadget parameters p, sized for batches of up to capacity members. The
-// scratch grows automatically if a larger batch is presented.
-func NewBatchScratch(n, k int, p Params, capacity int) *BatchScratch {
-	if capacity < 1 {
-		capacity = 1
-	}
+// NewBatchScratch allocates rotation scratch for ring degree n, k masks
+// and gadget parameters p. The scratch serves batches of any size.
+func NewBatchScratch(n, k int, p Params) *BatchScratch {
 	bs := &BatchScratch{
 		Proc:   torus.NewProcessor(n),
-		n:      n,
-		k:      k,
-		levels: p.Levels,
-		fdec:   torus.NewFourierPoly(n),
-		fdec2:  torus.NewFourierPoly(n),
+		decomp: make([]*torus.IntPoly, (k+1)*p.Levels),
 		diff:   tlwe.NewSample(n, k),
 		hspec1: torus.NewHalfPoly(n / 2),
 		hspec2: torus.NewHalfPoly(n / 2),
 		hfacc:  make([]*torus.HalfPoly, k+1),
 	}
+	for i := range bs.decomp {
+		bs.decomp[i] = torus.NewIntPoly(n)
+	}
 	for i := range bs.hfacc {
 		bs.hfacc[i] = torus.NewHalfPoly(n / 2)
 	}
-	bs.grow(capacity)
 	return bs
 }
 
-// Cap returns the current batch capacity.
-func (bs *BatchScratch) Cap() int { return bs.cap }
-
-func (bs *BatchScratch) grow(capacity int) {
-	if capacity <= bs.cap {
-		return
-	}
-	d := (bs.k + 1) * bs.levels
-	for len(bs.decomp) < capacity*d {
-		bs.decomp = append(bs.decomp, torus.NewIntPoly(bs.n))
-	}
-	for len(bs.facc) < capacity*(bs.k+1) {
-		bs.facc = append(bs.facc, torus.NewFourierPoly(bs.n))
-	}
-	for len(bs.srcVar) < capacity {
-		bs.srcVar = append(bs.srcVar, 0)
-	}
-	bs.cap = capacity
-}
-
-// CMuxRotateBatch performs the blind-rotation step
-// accs[m] += g ⊡ ((X^as[m] - 1) · accs[m]) for every batch member m against
-// the single Fourier-domain TGSW sample g. Each rotation is bit-exact with
-// Scratch.CMuxRotateInPlace on the same inputs: the FFT-domain products
-// round back to the exact integer convolution results (magnitudes stay far
-// below 2^52), so pairing transforms across members does not perturb any
-// output coefficient.
+// CMuxRotateBatchHalf performs the blind-rotation step
+// accs[m] += g ⊡ ((X^as[m] - 1) · accs[m]) for every batch member m
+// against the single half-domain TGSW sample g: the accumulator is
+// multiplied by X^as[m] iff g encrypts one. Members are processed one by
+// one so the caller's key-index-outer loop keeps g's rows hot in cache
+// across the whole batch. Each digit polynomial gets its own half-size
+// transform (the representation already carries two real coefficients per
+// complex point), and products accumulate through the fused MulAccPairTo
+// pass. The results are exact: the products round back to the integer
+// convolution (magnitudes stay far below 2^52), so a member's output does
+// not depend on the batch it rides in.
 //
 // All as[m] should be nonzero (zero rotations are identity CMuxes; callers
 // skip them before batching). len(as) must equal len(accs).
-func (bs *BatchScratch) CMuxRotateBatch(accs []*tlwe.Sample, g *FourierSample, as []int) {
-	b := len(accs)
-	if b == 0 {
-		return
-	}
-	if len(as) != b {
-		panic("tgsw: CMuxRotateBatch rotation count mismatch")
-	}
-	bs.grow(b)
-	d := (g.K + 1) * g.Params.Levels
-	kk := g.K + 1
-
-	// Phase 1: rotate-and-diff each accumulator and gadget-decompose it into
-	// its slab of the shared digit arena. The single diff sample is reused —
-	// its digits are consumed before the next member overwrites it.
-	for m, acc := range accs {
-		bs.diff.MulByXaiMinusOne(as[m], acc)
-		DecomposeTLWE(bs.decomp[m*d:(m+1)*d], bs.diff, g.Params)
-		bs.srcVar[m] = bs.diff.Variance
-	}
-
-	for _, f := range bs.facc[:b*kk] {
-		f.Clear()
-	}
-
-	// Phase 2: forward transforms pair-packed across the entire batch. The
-	// global walk pairs digit u of member m with the next digit in
-	// member-major order, straddling member boundaries, so at most one
-	// single (unpaired) transform remains per batch. Each spectrum is
-	// multiply-accumulated against its BK row immediately, while the row is
-	// hot in cache for every member of the batch.
-	total := b * d
-	u := 0
-	for ; u+1 < total; u += 2 {
-		bs.Proc.IntPairToFourier(bs.fdec, bs.fdec2, bs.decomp[u], bs.decomp[u+1])
-		bs.mulAccRow(u, bs.fdec, g, d, kk)
-		bs.mulAccRow(u+1, bs.fdec2, g, d, kk)
-	}
-	if u < total {
-		bs.Proc.IntToFourier(bs.fdec, bs.decomp[u])
-		bs.mulAccRow(u, bs.fdec, g, d, kk)
-	}
-
-	// Phase 3: inverse transforms, again pair-packed across the batch. The
-	// (k+1) result polynomials of member m occupy facc[m*kk .. m*kk+kk-1]
-	// and add into accs[m].A in order.
-	totalF := b * kk
-	c := 0
-	for ; c+1 < totalF; c += 2 {
-		dstA := accs[c/kk].A[c%kk]
-		dstB := accs[(c+1)/kk].A[(c+1)%kk]
-		bs.Proc.AddFourierPairToTorus(dstA, dstB, bs.facc[c], bs.facc[c+1])
-	}
-	if c < totalF {
-		bs.Proc.AddFourierToTorus(accs[c/kk].A[c%kk], bs.facc[c])
-	}
-
-	for m, acc := range accs {
-		acc.Variance += bs.srcVar[m] // coarse tracking, as in ExternalProductAdd
-	}
-}
-
-// CMuxRotateBatchHalf is CMuxRotateBatch on the half-complex engine: the
-// same rotations against the half-domain bootstrapping key g, processed
-// member by member so the caller's key-index-outer loop keeps g's rows hot
-// in cache across the whole batch. Each digit polynomial gets its own
-// half-size transform (no pair packing is needed — the representation
-// already carries two real coefficients per complex point), and products
-// accumulate through the fused MulAccPairTo pass. Bit-exact with
-// Scratch.CMuxRotateInPlace for the reasons documented on CMuxRotateBatch.
 func (bs *BatchScratch) CMuxRotateBatchHalf(accs []*tlwe.Sample, g *HalfSample, as []int) {
 	b := len(accs)
 	if b == 0 {
@@ -204,9 +92,6 @@ func (bs *BatchScratch) CMuxRotateBatchHalf(accs []*tlwe.Sample, g *HalfSample, 
 	}
 	d := (g.K + 1) * g.Params.Levels
 	kk := g.K + 1
-	if bs.cap < 1 || len(bs.decomp) < d {
-		bs.grow(1)
-	}
 	for m, acc := range accs {
 		bs.diff.MulByXaiMinusOne(as[m], acc)
 		srcVar := bs.diff.Variance
@@ -234,16 +119,5 @@ func (bs *BatchScratch) CMuxRotateBatchHalf(accs []*tlwe.Sample, g *HalfSample, 
 			bs.Proc.AddHalfToTorus(acc.A[c], bs.hfacc[c])
 		}
 		acc.Variance += srcVar
-	}
-}
-
-// mulAccRow accumulates the spectrum of global digit index idx (member
-// idx/d, row idx%d) into that member's Fourier accumulators against the
-// matching BK row.
-func (bs *BatchScratch) mulAccRow(idx int, spec *torus.FourierPoly, g *FourierSample, d, kk int) {
-	row := g.Rows[idx%d]
-	base := (idx / d) * kk
-	for c := 0; c < kk; c++ {
-		bs.facc[base+c].MulAccTo(spec, row[c])
 	}
 }

@@ -1,11 +1,12 @@
 // Package tgsw implements TGSW ciphertexts — the gadget-decomposed
-// ring-GSW samples of the TFHE scheme — together with the external product
-// TGSW ⊡ TLWE and the CMux operation that blind rotation is built from.
+// ring-GSW samples of the TFHE scheme — together with the CMux rotation
+// (an external product TGSW ⊡ TLWE) that blind rotation is built from.
 //
-// The hot path keeps TGSW samples in the Fourier domain (FourierSample):
-// the bootstrapping key is transformed once at key-generation time, so each
-// external product costs only the forward transforms of the decomposed
-// accumulator, pointwise multiply-accumulates, and the inverse transforms.
+// The hot path keeps TGSW samples in the half-complex domain (HalfSample):
+// the bootstrapping key is folded once at key-generation or key-decode
+// time, so each external product costs only the forward transforms of the
+// decomposed accumulator, pointwise multiply-accumulates, and the inverse
+// transforms.
 package tgsw
 
 import (
@@ -110,115 +111,4 @@ func DecomposePoly(dst []*torus.IntPoly, src *torus.TorusPoly, p Params) {
 			out[i] = int32(((c+offset)>>shift)&mask) - halfBase
 		}
 	}
-}
-
-// FourierSample is a TGSW sample with every row polynomial held in the
-// Fourier domain. It is the representation used for bootstrapping keys.
-type FourierSample struct {
-	// Rows[u][c] is the Fourier transform of polynomial c of TLWE row u.
-	Rows   [][]*torus.FourierPoly
-	K      int
-	Params Params
-}
-
-// ToFourier transforms a coefficient-domain TGSW sample into the Fourier
-// domain using proc.
-func (s *Sample) ToFourier(proc *torus.Processor) *FourierSample {
-	f := &FourierSample{K: s.K, Params: s.Params, Rows: make([][]*torus.FourierPoly, len(s.Rows))}
-	for u, row := range s.Rows {
-		f.Rows[u] = make([]*torus.FourierPoly, s.K+1)
-		for c, poly := range row.A {
-			fp := torus.NewFourierPoly(poly.N())
-			proc.TorusToFourier(fp, poly)
-			f.Rows[u][c] = fp
-		}
-	}
-	return f
-}
-
-// Scratch holds the per-worker temporaries for external products so the hot
-// loop performs no allocation. A Scratch (and its Processor) must not be
-// shared between goroutines.
-type Scratch struct {
-	Proc   *torus.Processor
-	decomp []*torus.IntPoly
-	fdec   *torus.FourierPoly
-	fdec2  *torus.FourierPoly
-	facc   []*torus.FourierPoly
-	diff   *tlwe.Sample
-}
-
-// NewScratch allocates scratch space for ring degree n, k masks and gadget
-// parameters p.
-func NewScratch(n, k int, p Params) *Scratch {
-	s := &Scratch{
-		Proc:   torus.NewProcessor(n),
-		decomp: make([]*torus.IntPoly, (k+1)*p.Levels),
-		fdec:   torus.NewFourierPoly(n),
-		fdec2:  torus.NewFourierPoly(n),
-		facc:   make([]*torus.FourierPoly, k+1),
-		diff:   tlwe.NewSample(n, k),
-	}
-	for i := range s.decomp {
-		s.decomp[i] = torus.NewIntPoly(n)
-	}
-	for i := range s.facc {
-		s.facc[i] = torus.NewFourierPoly(n)
-	}
-	return s
-}
-
-// ExternalProductAdd computes acc += g ⊡ src, where g is a Fourier-domain
-// TGSW sample and src a coefficient-domain TLWE sample. acc and src may not
-// alias. Forward and inverse transforms run pair-packed (two real
-// polynomials per complex FFT), halving the FFT count of the hot loop.
-func (sc *Scratch) ExternalProductAdd(acc *tlwe.Sample, g *FourierSample, src *tlwe.Sample) {
-	DecomposeTLWE(sc.decomp, src, g.Params)
-	for c := range sc.facc {
-		sc.facc[c].Clear()
-	}
-	u := 0
-	for ; u+1 < len(sc.decomp); u += 2 {
-		sc.Proc.IntPairToFourier(sc.fdec, sc.fdec2, sc.decomp[u], sc.decomp[u+1])
-		rowA, rowB := g.Rows[u], g.Rows[u+1]
-		for c := range sc.facc {
-			sc.facc[c].MulAccTo(sc.fdec, rowA[c])
-			sc.facc[c].MulAccTo(sc.fdec2, rowB[c])
-		}
-	}
-	if u < len(sc.decomp) { // odd (k+1)*l: one leftover single transform
-		sc.Proc.IntToFourier(sc.fdec, sc.decomp[u])
-		row := g.Rows[u]
-		for c := range sc.facc {
-			sc.facc[c].MulAccTo(sc.fdec, row[c])
-		}
-	}
-	c := 0
-	for ; c+1 < len(sc.facc); c += 2 {
-		sc.Proc.AddFourierPairToTorus(acc.A[c], acc.A[c+1], sc.facc[c], sc.facc[c+1])
-	}
-	if c < len(sc.facc) {
-		sc.Proc.AddFourierToTorus(acc.A[c], sc.facc[c])
-	}
-	acc.Variance += src.Variance // coarse tracking; exact analysis in docs
-}
-
-// CMuxRotateInPlace performs the blind-rotation step
-// acc += g ⊡ ((X^a - 1) · acc), which equals CMux(g, X^a·acc, acc) when g
-// encrypts a bit: the accumulator is multiplied by X^a iff the encrypted
-// bit is one.
-func (sc *Scratch) CMuxRotateInPlace(acc *tlwe.Sample, g *FourierSample, a int) {
-	sc.diff.MulByXaiMinusOne(a, acc)
-	sc.ExternalProductAdd(acc, g, sc.diff)
-}
-
-// CMux computes dst = c0 + g ⊡ (c1 - c0): dst decrypts to c1's message when
-// g encrypts 1 and to c0's when g encrypts 0. dst may alias c0 but not c1.
-func (sc *Scratch) CMux(dst *tlwe.Sample, g *FourierSample, c1, c0 *tlwe.Sample) {
-	sc.diff.Copy(c1)
-	sc.diff.SubFrom(c0)
-	if dst != c0 {
-		dst.Copy(c0)
-	}
-	sc.ExternalProductAdd(dst, g, sc.diff)
 }

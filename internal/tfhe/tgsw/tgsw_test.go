@@ -48,16 +48,26 @@ func TestDecomposeRecompose(t *testing.T) {
 	}
 }
 
+// rotate runs one CMux rotation acc += g ⊡ ((X^a − 1)·acc) as the batch
+// of one on the half-complex engine.
+func rotate(acc *tlwe.Sample, g *Sample, a int) {
+	bs := NewBatchScratch(testN, testK, testParams)
+	bs.CMuxRotateBatchHalf([]*tlwe.Sample{acc}, g.Half(bs.Proc), []int{a})
+}
+
+// TestExternalProductSelectsMessage checks the external product inside the
+// rotation: the increment acc' − acc decrypts to bit·(X^a − 1)·mu, so it
+// carries the rotated difference when the TGSW sample encrypts one and
+// nothing when it encrypts zero.
 func TestExternalProductSelectsMessage(t *testing.T) {
 	rng := trand.NewSeeded([]byte("tgsw-extprod"))
 	key := NewKey(testN, testK, math.Pow(2, -30), testParams, rng)
 	const msize = 8
+	const shift = 7
 
 	for _, bit := range []int32{0, 1} {
 		g := NewSample(testN, testK, testParams)
 		Encrypt(g, bit, key.TLWE.Stdev, key, rng)
-		proc := torus.NewProcessor(testN)
-		fg := g.ToFourier(proc)
 
 		mu := torus.NewTorusPoly(testN)
 		mu.Coefs[0] = torus.ModSwitchToTorus32(3, msize)
@@ -66,47 +76,44 @@ func TestExternalProductSelectsMessage(t *testing.T) {
 		tlwe.Encrypt(c, mu, key.TLWE.Stdev, key.TLWE, rng)
 
 		acc := tlwe.NewSample(testN, testK)
-		sc := NewScratch(testN, testK, testParams)
-		sc.ExternalProductAdd(acc, fg, c)
+		acc.Copy(c)
+		rotate(acc, g, shift)
+		acc.SubFrom(c)
 
 		phase := torus.NewTorusPoly(testN)
 		tlwe.Phase(phase, acc, key.TLWE)
-		want0, want7 := int32(0), int32(0)
+		// (X^7 − 1)·(3 + 5X^7) = −3 − 2X^7 + 5X^14 (mod 8: 5, 6, 5).
+		want := map[int]int32{0: 0, 7: 0, 14: 0}
 		if bit == 1 {
-			want0, want7 = 3, 5
+			want = map[int]int32{0: 5, 7: 6, 14: 5}
 		}
-		if got := torus.ModSwitchFromTorus32(phase.Coefs[0], msize); got != want0 {
-			t.Fatalf("bit=%d coef0 = %d, want %d", bit, got, want0)
-		}
-		if got := torus.ModSwitchFromTorus32(phase.Coefs[7], msize); got != want7 {
-			t.Fatalf("bit=%d coef7 = %d, want %d", bit, got, want7)
+		for j, w := range want {
+			if got := torus.ModSwitchFromTorus32(phase.Coefs[j], msize); got != w {
+				t.Fatalf("bit=%d coef%d = %d, want %d", bit, j, got, w)
+			}
 		}
 	}
 }
 
+// TestCMux selects between c0 and X^N·c0 = −c0: rotating by N is the CMux
+// of those two, so a message 2 comes out as 2 or as −2 ≡ 6.
 func TestCMux(t *testing.T) {
 	rng := trand.NewSeeded([]byte("tgsw-cmux"))
 	key := NewKey(testN, testK, math.Pow(2, -30), testParams, rng)
-	proc := torus.NewProcessor(testN)
 	const msize = 8
 
-	mu1 := torus.NewTorusPoly(testN)
 	mu0 := torus.NewTorusPoly(testN)
-	mu1.Coefs[0] = torus.ModSwitchToTorus32(6, msize)
 	mu0.Coefs[0] = torus.ModSwitchToTorus32(2, msize)
-	c1 := tlwe.NewSample(testN, testK)
 	c0 := tlwe.NewSample(testN, testK)
-	tlwe.Encrypt(c1, mu1, key.TLWE.Stdev, key.TLWE, rng)
 	tlwe.Encrypt(c0, mu0, key.TLWE.Stdev, key.TLWE, rng)
 
 	for _, bit := range []int32{0, 1} {
 		g := NewSample(testN, testK, testParams)
 		Encrypt(g, bit, key.TLWE.Stdev, key, rng)
-		fg := g.ToFourier(proc)
 
-		sc := NewScratch(testN, testK, testParams)
 		dst := tlwe.NewSample(testN, testK)
-		sc.CMux(dst, fg, c1, c0)
+		dst.Copy(c0)
+		rotate(dst, g, testN)
 
 		phase := torus.NewTorusPoly(testN)
 		tlwe.Phase(phase, dst, key.TLWE)
@@ -123,7 +130,6 @@ func TestCMux(t *testing.T) {
 func TestCMuxRotate(t *testing.T) {
 	rng := trand.NewSeeded([]byte("tgsw-rotate"))
 	key := NewKey(testN, testK, math.Pow(2, -30), testParams, rng)
-	proc := torus.NewProcessor(testN)
 	const msize = 8
 	const shift = 11
 
@@ -133,12 +139,10 @@ func TestCMuxRotate(t *testing.T) {
 	for _, bit := range []int32{0, 1} {
 		g := NewSample(testN, testK, testParams)
 		Encrypt(g, bit, key.TLWE.Stdev, key, rng)
-		fg := g.ToFourier(proc)
 
 		acc := tlwe.NewSample(testN, testK)
 		tlwe.Encrypt(acc, mu, key.TLWE.Stdev, key.TLWE, rng)
-		sc := NewScratch(testN, testK, testParams)
-		sc.CMuxRotateInPlace(acc, fg, shift)
+		rotate(acc, g, shift)
 
 		phase := torus.NewTorusPoly(testN)
 		tlwe.Phase(phase, acc, key.TLWE)

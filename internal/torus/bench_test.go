@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// Kernel-hot-path microbenchmarks (run via `make bench-kernel`): forward and
-// inverse transforms, single vs pair-packed, at the two ring degrees used by
-// the Test and Default128 parameter sets. The half-complex kernels and the
-// key-switch row subtraction each run a generic and an asm sub-benchmark
-// (the portable body and the vector kernel), so a change in a layer metric
-// can be traced to one kernel.
+// Kernel-hot-path microbenchmarks (run via `make bench-kernel`) at the two
+// ring degrees used by the Test and Default128 parameter sets. The
+// half-complex kernels and the key-switch row subtraction each run a
+// generic and an asm sub-benchmark (the portable body and the vector
+// kernel), so a change in a layer metric can be traced to one kernel.
 
 // benchPaths runs the generic and, where the CPU has AVX2/FMA, the asm
 // variant of one kernel as sub-benchmarks.
@@ -42,69 +41,6 @@ func benchPolys(n int) (*IntPoly, *IntPoly, *TorusPoly, *TorusPoly) {
 		tb.Coefs[i] = Torus32(i*0x85ebca6b + 17)
 	}
 	return a, b, ta, tb
-}
-
-func BenchmarkKernelIntToFourier(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			a, _, _, _ := benchPolys(n)
-			dst := NewFourierPoly(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.IntToFourier(dst, a)
-			}
-		})
-	}
-}
-
-func BenchmarkKernelIntPairToFourier(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			pa, pb, _, _ := benchPolys(n)
-			da := NewFourierPoly(n)
-			db := NewFourierPoly(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.IntPairToFourier(da, db, pa, pb)
-			}
-		})
-	}
-}
-
-func BenchmarkKernelAddFourierToTorus(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			a, _, _, _ := benchPolys(n)
-			f := NewFourierPoly(n)
-			p.IntToFourier(f, a)
-			dst := NewTorusPoly(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.AddFourierToTorus(dst, f)
-			}
-		})
-	}
-}
-
-func BenchmarkKernelAddFourierPairToTorus(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			pa, pb, _, _ := benchPolys(n)
-			fa := NewFourierPoly(n)
-			fb := NewFourierPoly(n)
-			p.IntPairToFourier(fa, fb, pa, pb)
-			da := NewTorusPoly(n)
-			db := NewTorusPoly(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.AddFourierPairToTorus(da, db, fa, fb)
-			}
-		})
-	}
 }
 
 func BenchmarkKernelHalfFoldInt(b *testing.B) {
@@ -189,21 +125,4 @@ func BenchmarkKernelKeySwitchSub(b *testing.B) {
 		}
 	}
 	benchPaths(b, sweep(subGeneric), sweep(subAVX2))
-}
-
-func BenchmarkKernelMulAccTo(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			pa, pb, _, _ := benchPolys(n)
-			fa := NewFourierPoly(n)
-			fb := NewFourierPoly(n)
-			p.IntPairToFourier(fa, fb, pa, pb)
-			acc := NewFourierPoly(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				acc.MulAccTo(fa, fb)
-			}
-		})
-	}
 }

@@ -11,7 +11,9 @@ import (
 // pointwise multiplication of Fourier polynomials corresponds to negacyclic
 // multiplication in the coefficient domain. The real and imaginary parts are
 // kept in separate slices so the butterfly loops stay allocation- and
-// interface-free.
+// interface-free. The bootstrap runs on the half-size representation of
+// half.go; this full-size one serves ring encryption (tlwe) and the MulFFT
+// reference multiplier.
 type FourierPoly struct {
 	Re, Im []float64
 }
@@ -21,22 +23,7 @@ func NewFourierPoly(n int) *FourierPoly {
 	return &FourierPoly{Re: make([]float64, n), Im: make([]float64, n)}
 }
 
-// Clear zeroes the Fourier polynomial.
-func (f *FourierPoly) Clear() {
-	for i := range f.Re {
-		f.Re[i] = 0
-		f.Im[i] = 0
-	}
-}
-
-// Copy copies src into f.
-func (f *FourierPoly) Copy(src *FourierPoly) {
-	copy(f.Re, src.Re)
-	copy(f.Im, src.Im)
-}
-
-// MulAccTo accumulates f += a*b pointwise. This is the inner loop of the
-// TGSW external product performed in the Fourier domain.
+// MulAccTo accumulates f += a*b pointwise.
 func (f *FourierPoly) MulAccTo(a, b *FourierPoly) {
 	fr, fi := f.Re, f.Im
 	ar, ai := a.Re, a.Im

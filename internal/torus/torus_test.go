@@ -248,7 +248,8 @@ func BenchmarkPolyMulFFT1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		proc.IntToFourier(fa, a)
 		proc.TorusToFourier(fb, p)
-		fc.Clear()
+		clear(fc.Re)
+		clear(fc.Im)
 		fc.MulAccTo(fa, fb)
 		proc.FourierToTorus(out, fc)
 	}
@@ -264,115 +265,5 @@ func BenchmarkForwardFFT1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		proc.IntToFourier(fa, a)
-	}
-}
-
-func TestPairForwardMatchesSingles(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{8, 64, 256} {
-		proc := NewProcessor(n)
-		a := randIntPoly(rng, n, 512)
-		b := randIntPoly(rng, n, 512)
-		fa := NewFourierPoly(n)
-		fb := NewFourierPoly(n)
-		proc.IntToFourier(fa, a)
-		proc.IntToFourier(fb, b)
-		pa := NewFourierPoly(n)
-		pb := NewFourierPoly(n)
-		proc.IntPairToFourier(pa, pb, a, b)
-		for k := 0; k < n; k++ {
-			if d := fa.Re[k] - pa.Re[k]; d > 1e-5 || d < -1e-5 {
-				t.Fatalf("n=%d A.Re[%d]: single %g pair %g", n, k, fa.Re[k], pa.Re[k])
-			}
-			if d := fa.Im[k] - pa.Im[k]; d > 1e-5 || d < -1e-5 {
-				t.Fatalf("n=%d A.Im[%d]: single %g pair %g", n, k, fa.Im[k], pa.Im[k])
-			}
-			if d := fb.Re[k] - pb.Re[k]; d > 1e-5 || d < -1e-5 {
-				t.Fatalf("n=%d B.Re[%d]: single %g pair %g", n, k, fb.Re[k], pb.Re[k])
-			}
-			if d := fb.Im[k] - pb.Im[k]; d > 1e-5 || d < -1e-5 {
-				t.Fatalf("n=%d B.Im[%d]: single %g pair %g", n, k, fb.Im[k], pb.Im[k])
-			}
-		}
-	}
-}
-
-func TestPairTorusForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	const n = 64
-	proc := NewProcessor(n)
-	a := randTorusPoly(rng, n)
-	b := randTorusPoly(rng, n)
-	fa := NewFourierPoly(n)
-	fb := NewFourierPoly(n)
-	proc.TorusToFourier(fa, a)
-	proc.TorusToFourier(fb, b)
-	pa := NewFourierPoly(n)
-	pb := NewFourierPoly(n)
-	proc.TorusPairToFourier(pa, pb, a, b)
-	for k := 0; k < n; k++ {
-		if d := fa.Re[k] - pa.Re[k]; d > 1e-2 || d < -1e-2 {
-			t.Fatalf("A.Re[%d]: single %g pair %g", k, fa.Re[k], pa.Re[k])
-		}
-		if d := fb.Im[k] - pb.Im[k]; d > 1e-2 || d < -1e-2 {
-			t.Fatalf("B.Im[%d]: single %g pair %g", k, fb.Im[k], pb.Im[k])
-		}
-	}
-}
-
-// TestPairedExternalProductPath checks the full pair-packed multiply:
-// forward pair, pointwise, inverse pair against the naive reference.
-func TestPairedExternalProductPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const n = 128
-	proc := NewProcessor(n)
-	a1 := randIntPoly(rng, n, 512)
-	a2 := randIntPoly(rng, n, 512)
-	b1 := randTorusPoly(rng, n)
-	b2 := randTorusPoly(rng, n)
-
-	// Reference: two naive negacyclic products.
-	want1 := NewTorusPoly(n)
-	want2 := NewTorusPoly(n)
-	MulNaive(want1, a1, b1)
-	MulNaive(want2, a2, b2)
-
-	// Pair-packed path.
-	fa1 := NewFourierPoly(n)
-	fa2 := NewFourierPoly(n)
-	proc.IntPairToFourier(fa1, fa2, a1, a2)
-	fb1 := NewFourierPoly(n)
-	fb2 := NewFourierPoly(n)
-	proc.TorusPairToFourier(fb1, fb2, b1, b2)
-	fc1 := NewFourierPoly(n)
-	fc2 := NewFourierPoly(n)
-	fc1.MulAccTo(fa1, fb1)
-	fc2.MulAccTo(fa2, fb2)
-	got1 := NewTorusPoly(n)
-	got2 := NewTorusPoly(n)
-	proc.AddFourierPairToTorus(got1, got2, fc1, fc2)
-
-	for i := 0; i < n; i++ {
-		if d := int32(got1.Coefs[i] - want1.Coefs[i]); d < -4 || d > 4 {
-			t.Fatalf("poly1 coef %d: got %d want %d", i, got1.Coefs[i], want1.Coefs[i])
-		}
-		if d := int32(got2.Coefs[i] - want2.Coefs[i]); d < -4 || d > 4 {
-			t.Fatalf("poly2 coef %d: got %d want %d", i, got2.Coefs[i], want2.Coefs[i])
-		}
-	}
-}
-
-func BenchmarkForwardFFTPair1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(44))
-	const n = 1024
-	proc := NewProcessor(n)
-	p1 := randIntPoly(rng, n, 512)
-	p2 := randIntPoly(rng, n, 512)
-	f1 := NewFourierPoly(n)
-	f2 := NewFourierPoly(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc.IntPairToFourier(f1, f2, p1, p2)
 	}
 }

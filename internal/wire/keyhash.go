@@ -1,161 +1,39 @@
 package wire
 
 import (
-	"bufio"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
 
-	"pytfhe/internal/params"
 	"pytfhe/internal/tfhe/boot"
-	"pytfhe/internal/tfhe/lwe"
-	"pytfhe/internal/tfhe/tgsw"
 )
 
-// KeyHash content-addresses a cloud key by streaming a canonical encoding
-// through SHA-256 (no buffering of the ~25 MB key). Both the daemon's
-// session registry and the cluster handshake use it, so a worker joining a
-// coordinator can prove it will evaluate under the same key the clients
-// encrypted against.
+// KeyHash content-addresses a cloud key: SHA-256 over its canonical
+// fixed-width encoding (boot.CloudKey.MarshalBinary, ~93 MB at
+// Default128). Both the daemon's session registry and the cluster
+// handshake use it, so a worker joining a coordinator can prove it will
+// evaluate under the same key the clients encrypted against.
 //
-// The encoding hashed here is purpose-built rather than gob: gob assigns
-// its wire type IDs process-globally in first-use order, so two processes
-// that did different gob work before hashing the same key disagree on the
-// byte stream (and therefore the hash). The cluster handshake compares
-// hashes computed in three different binaries — client, daemon, worker —
-// so the hash must depend on key content alone. Every field is length- or
-// presence-prefixed, making the encoding prefix-free across keys.
+// The hash must depend on key content alone — the cluster handshake
+// compares hashes computed in three binaries (client, daemon, worker) —
+// which the key's own encoding guarantees: it is fixed-width and
+// canonical (equal keys encode to equal bytes), unlike gob, whose type
+// IDs depend on what else the process encoded first.
 func KeyHash(ck *boot.CloudKey) (string, error) {
 	if ck == nil {
 		return "", fmt.Errorf("wire: hash cloud key: nil key")
 	}
-	h := sha256.New()
-	w := bufio.NewWriter(h)
-	e := keyHasher{w: w}
-	e.str("pytfhe-cloud-key-v1")
-	e.params(ck.Params)
-	e.u64(uint64(len(ck.BK)))
-	for _, s := range ck.BK {
-		e.bk(s)
-	}
-	e.ks(ck.KS)
-	// bufio.Writer into sha256.Hash never fails; Flush surfaces nothing.
-	if err := w.Flush(); err != nil {
+	b, err := ck.MarshalBinary()
+	if err != nil {
 		return "", fmt.Errorf("wire: hash cloud key: %w", err)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return KeyBytesHash(b), nil
 }
 
-// keyHasher streams primitive values into the hash in fixed-width
-// little-endian form. Writes into a sha256 digest cannot fail, so the
-// helpers drop bufio's always-nil errors.
-type keyHasher struct {
-	w *bufio.Writer
-}
-
-func (e keyHasher) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.w.Write(b[:])
-}
-
-func (e keyHasher) i64(v int) { e.u64(uint64(int64(v))) }
-
-func (e keyHasher) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-func (e keyHasher) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.w.Write(b[:])
-}
-
-func (e keyHasher) str(s string) {
-	e.i64(len(s))
-	e.w.WriteString(s)
-}
-
-func (e keyHasher) params(p *params.GateParams) {
-	if p == nil {
-		e.u64(0)
-		return
-	}
-	e.u64(1)
-	e.str(p.Name)
-	e.i64(p.LWEDimension)
-	e.f64(p.LWEStdev)
-	e.i64(p.PolyDegree)
-	e.i64(p.RingCount)
-	e.f64(p.TLWEStdev)
-	e.i64(p.DecompLevels)
-	e.i64(p.DecompBaseLog)
-	e.i64(p.KSLevels)
-	e.i64(p.KSBaseLog)
-}
-
-func (e keyHasher) bk(s *tgsw.FourierSample) {
-	if s == nil {
-		e.u64(0)
-		return
-	}
-	e.u64(1)
-	e.i64(s.K)
-	e.i64(s.Params.Levels)
-	e.i64(s.Params.BaseLog)
-	e.i64(len(s.Rows))
-	for _, row := range s.Rows {
-		e.i64(len(row))
-		for _, p := range row {
-			if p == nil {
-				e.u64(0)
-				continue
-			}
-			e.u64(1)
-			e.i64(len(p.Re))
-			for _, v := range p.Re {
-				e.f64(v)
-			}
-			e.i64(len(p.Im))
-			for _, v := range p.Im {
-				e.f64(v)
-			}
-		}
-	}
-}
-
-func (e keyHasher) ks(k *lwe.SwitchKey) {
-	if k == nil {
-		e.u64(0)
-		return
-	}
-	e.u64(1)
-	e.i64(k.NIn)
-	e.i64(k.NOut)
-	e.i64(k.Levels)
-	e.i64(k.BaseLog)
-	e.i64(len(k.Rows))
-	for _, plane := range k.Rows {
-		e.i64(len(plane))
-		for _, row := range plane {
-			e.i64(len(row))
-			for _, s := range row {
-				e.sample(s)
-			}
-		}
-	}
-}
-
-func (e keyHasher) sample(s *lwe.Sample) {
-	if s == nil {
-		e.u64(0)
-		return
-	}
-	e.u64(1)
-	e.i64(len(s.A))
-	for _, a := range s.A {
-		e.u32(a)
-	}
-	e.u32(s.B)
-	e.f64(s.Variance)
+// KeyBytesHash is KeyHash of an already-encoded key. The daemon hashes
+// the bytes a client uploads before decoding them, so a key that is
+// already registered is never decoded a second time.
+func KeyBytesHash(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"testing"
 
 	"pytfhe/internal/params"
@@ -82,23 +83,89 @@ func TestKeyHashDistinguishesKeys(t *testing.T) {
 	}
 }
 
-// TestKeyHashNil pins the error paths: a nil key (or a key that never got
-// its parameters) must fail loudly rather than hash an empty skeleton.
+// TestKeyHashNil pins the error paths: a nil key, or a key that never got
+// its parameters, must fail loudly rather than hash an empty skeleton.
 func TestKeyHashNil(t *testing.T) {
 	if _, err := KeyHash(nil); err == nil {
 		t.Fatal("KeyHash(nil) did not fail")
 	}
 	ck := testKey(t, "wire-keyhash")
 	mut := &boot.CloudKey{BK: ck.BK, KS: ck.KS}
-	h1, err := KeyHash(mut)
+	if _, err := KeyHash(mut); !errors.Is(err, boot.ErrKeyFormat) {
+		t.Fatalf("KeyHash of a key without params: error %v, want boot.ErrKeyFormat", err)
+	}
+}
+
+// TestCloudKeyFrameSize pins the key's wire size to its layout: every
+// bootstrapping-key polynomial as N 32-bit coefficients, every nonzero
+// key-switching digit as an (n+1)-word sample, plus the header (8 bytes of
+// magic and version, a 4-byte name length, the name, seven 4-byte integer
+// parameters and two 8-byte stdevs). gob carries the encoding as one byte
+// string plus gob's framing and a one-time type descriptor.
+func TestCloudKeyFrameSize(t *testing.T) {
+	sets := []*params.GateParams{params.Test()}
+	if !testing.Short() {
+		sets = append(sets, params.Default128())
+	}
+	for _, p := range sets {
+		_, ck, err := boot.GenerateKeys(p, trand.NewSeeded([]byte("wire-frame")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ck.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, bigN, k, l := p.LWEDimension, p.PolyDegree, p.RingCount, p.DecompLevels
+		tt, base := p.KSLevels, 1<<p.KSBaseLog
+		body := 4 * (n*(k+1)*(k+1)*l*bigN + bigN*k*tt*(base-1)*(n+1))
+		header := 8 + 4 + len(p.Name) + 7*4 + 2*8
+		if len(b) != body+header {
+			t.Fatalf("%s: key encodes to %d bytes, want %d + %d", p.Name, len(b), body, header)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+			t.Fatal(err)
+		}
+		if over := buf.Len() - len(b); over < 0 || over > 1024 {
+			t.Fatalf("%s: gob frame %d bytes for a %d-byte key", p.Name, buf.Len(), len(b))
+		}
+	}
+}
+
+// BenchmarkCloudKeyCodec measures the per-session key costs at
+// Default128: encoding on the client, decoding on the daemon, and the
+// content hash both sides compute.
+func BenchmarkCloudKeyCodec(b *testing.B) {
+	_, ck, err := boot.GenerateKeys(params.Default128(), trand.NewSeeded([]byte("bench-codec")))
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	h2, err := KeyHash(ck)
+	enc, err := ck.MarshalBinary()
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	if h1 == h2 {
-		t.Fatal("params presence not reflected in hash")
-	}
+	b.Run("marshal", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			if _, err := ck.MarshalBinary(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			var rt boot.CloudKey
+			if err := rt.UnmarshalBinary(enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hash", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			KeyBytesHash(enc)
+		}
+	})
 }
